@@ -625,14 +625,14 @@ mod tests {
     fn clip_grad_norm_caps_and_reports() {
         let w = Tensor::var_from_vec(vec![3.0, 4.0], [2]);
         let mut grads = (&w * &w).sum_all().backward(); // (6, 8), norm 10
-        let norm = clip_grad_norm(&mut grads, &[w.clone()], 5.0);
+        let norm = clip_grad_norm(&mut grads, std::slice::from_ref(&w), 5.0);
         assert!((norm - 10.0).abs() < 1e-4);
         let g = grads.get(&w).unwrap().to_vec();
         let clipped = (g[0] * g[0] + g[1] * g[1]).sqrt();
         assert!((clipped - 5.0).abs() < 1e-4);
         // Already-small grads are untouched.
         let mut grads = (&w * &w).sum_all().backward();
-        clip_grad_norm(&mut grads, &[w.clone()], 100.0);
+        clip_grad_norm(&mut grads, std::slice::from_ref(&w), 100.0);
         assert_eq!(grads.get(&w).unwrap().to_vec(), vec![6.0, 8.0]);
     }
 

@@ -1,27 +1,30 @@
-//! Many-client serving throughput: thread-per-client blocking pump vs
-//! the single-thread event-driven server with batched steps, over
-//! `SimTransport`.
+//! Many-client serving throughput: the single-thread event loop with
+//! stacked batched steps vs the same loop replaying messages one at a
+//! time (no stacking), over `SimTransport`.
 //!
 //! For each fleet size N the same N clients train the same number of
 //! steps against one shared `MenosServer`; the aggregate throughput is
-//! `N * steps / wall_time`. Every `(mode, N)` configuration runs in
-//! its **own subprocess** (self-exec with `--worker`), so the reported
-//! `VmHWM` is that configuration's honest peak — not the high-water
-//! mark a process-monotonic counter inherited from earlier, larger
-//! configs. Each worker also reports the tensor buffer pool's hit rate
-//! and the bytes the codec copied per step, the allocation-side
-//! metrics of the zero-copy hot path.
+//! `N * steps / wall_time`. The two arms differ only in the handler:
+//! `stacked` is `MenosServer`'s own `BatchHandler`, which fuses
+//! compatible clients into one forward/backward; `solo` wraps it in
+//! the default replay `BatchHandler`. Every `(arm, N)` configuration
+//! runs in its **own subprocess** (self-exec with `--worker`), so the
+//! reported `VmHWM` is that configuration's honest peak — not the
+//! high-water mark a process-monotonic counter inherited from earlier,
+//! larger configs. Each worker also reports the tensor buffer pool's
+//! hit rate and the bytes the codec copied per step, the
+//! allocation-side metrics of the zero-copy hot path.
 //!
-//! Prints one JSON line per configuration and rewrites
-//! `BENCH_serve.json` when run from the repository (the EXPERIMENTS.md
-//! study quotes those numbers).
+//! Prints one JSON line per configuration, each naming the host it ran
+//! on, and rewrites `BENCH_serve.json` when run from the repository
+//! (the EXPERIMENTS.md study quotes those numbers).
 //!
 //! `--check` is the CI regression guard: it reruns the N=32 point in
-//! both modes and fails (exit 1) if, within that same run, the event
-//! loop's peak memory exceeds 2x the threaded pump's (measured
-//! 1.4–1.8x; see `run_check` for why N=32 is the worst point) or its
-//! throughput drops below 0.8x threaded. Same-run ratios only — no
-//! committed absolute baselines, which would be host-dependent.
+//! both arms and fails (exit 1) if, within that same run, stacking's
+//! peak memory exceeds 2x solo's (N=32 is the worst point; see
+//! `run_check`) or its throughput drops below 0.8x solo. Same-run
+//! ratios only — no committed absolute baselines, which would be
+//! host-dependent.
 //!
 //! The forced-overload study (v1.3) runs N clients against a
 //! live-session capacity of N/4 and reports the shed rate and
@@ -37,6 +40,7 @@
 //! contract — at least one session migrated, every client completed,
 //! and no survivor was assigned past its capacity.
 
+use std::cell::Cell;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -47,11 +51,12 @@ use menos_data::{wiki_corpus, TokenDataset, Vocab};
 use menos_fleet::{BackendSpec, FleetCoordinator, FleetOptions, PlacementPolicy};
 use menos_models::{init_params, CausalLm, ModelConfig};
 use menos_net::{Codec, WanLink};
-use menos_sim::seeded_rng;
+use menos_sim::{seeded_rng, Nanos};
 use menos_split::{
-    drive_client, drive_client_resumable, event_sim_listener, run_tcp_client_fleet, serve_loop,
-    sim_pair, ClientId, EventLoopOptions, EventLoopStats, RetryPolicy, ServerEventLoop,
-    SnapshotPolicy, SplitClient, SplitSpec, TcpEventServer, TcpOptions,
+    drive_client, event_sim_listener, run_tcp_client, BatchHandler, ClientId, ClientMessage,
+    EventLoopOptions, EventLoopStats, MessageHandler, ProtocolError, RetryPolicy, ServerEventLoop,
+    ServerMessage, SimTransport, SnapshotPolicy, SplitClient, SplitSpec, TcpEventServer,
+    TcpOptions, Transport, WireMessage,
 };
 use menos_tensor::ParamStore;
 
@@ -67,14 +72,51 @@ fn setup() -> (String, ModelConfig, Arc<Mutex<ParamStore>>) {
     (text, config, base)
 }
 
-fn make_server(config: &ModelConfig, base: &Arc<Mutex<ParamStore>>) -> Arc<Mutex<MenosServer>> {
+fn make_server(config: &ModelConfig, base: &Arc<Mutex<ParamStore>>) -> MenosServer {
     let view = base.lock().unwrap().shared_view(false);
-    Arc::new(Mutex::new(MenosServer::from_store(
+    MenosServer::from_store(
         config.clone(),
         view,
         ServerSpec::v100(ServerMode::menos()),
         SEED,
-    )))
+    )
+}
+
+/// `MenosServer` behind the default one-at-a-time replay
+/// `BatchHandler`: the same loop and the same sessions, no stacking —
+/// the reference arm of the stacking A/B.
+struct Solo(MenosServer);
+
+impl MessageHandler for Solo {
+    fn handle(&mut self, msg: ClientMessage) -> Result<Option<ServerMessage>, ProtocolError> {
+        self.0.handle(msg)
+    }
+
+    fn connection_lost(&mut self, client: ClientId) {
+        MessageHandler::connection_lost(&mut self.0, client);
+    }
+
+    fn under_pressure(&mut self) -> bool {
+        MessageHandler::under_pressure(&mut self.0)
+    }
+}
+
+impl BatchHandler for Solo {}
+
+/// The host facts every JSON line carries: logical CPUs and CPU model
+/// (from `/proc/cpuinfo`; `unknown` where procfs is unavailable).
+fn host_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, usize::from);
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".into());
+    format!("\"nproc\":{nproc},\"cpu\":\"{cpu}\"")
 }
 
 fn make_client(
@@ -112,66 +154,48 @@ fn vm_hwm_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// N blocking `serve_loop` threads (one per client) over SimTransport.
-fn run_threaded(n: u64, text: &str, config: &ModelConfig, base: &Arc<Mutex<ParamStore>>) -> f64 {
-    let handler = make_server(config, base);
-    let start = Instant::now();
-    let mut drivers = Vec::new();
-    let mut servers = Vec::new();
-    for k in 0..n {
-        let (mut client_t, mut server_t) = sim_pair(WanLink::lan(7 + k), WanLink::lan(100 + k));
-        let mut h = handler.clone();
-        servers.push(std::thread::spawn(move || {
-            serve_loop(&mut server_t, &mut h)
-        }));
-        let mut client = make_client(k, text, config, base);
-        drivers.push(std::thread::spawn(move || {
-            drive_client(&mut client, &mut client_t, STEPS).expect("threaded fleet");
-        }));
-    }
-    for d in drivers {
-        d.join().expect("driver thread");
-    }
-    for s in servers {
-        s.join().expect("server thread").expect("clean serve");
-    }
-    start.elapsed().as_secs_f64()
-}
-
-/// One `ServerEventLoop` thread serving all N clients over SimTransport.
+/// One `ServerEventLoop` thread serving all N clients over
+/// SimTransport, with `MenosServer` stacking ready clients or, for
+/// `stacked == false`, replaying them one at a time.
 fn run_event_loop(
     n: u64,
+    stacked: bool,
     text: &str,
     config: &ModelConfig,
     base: &Arc<Mutex<ParamStore>>,
 ) -> (f64, EventLoopStats) {
-    let handler = make_server(config, base);
+    let options = EventLoopOptions {
+        accept_limit: n as usize,
+        ..EventLoopOptions::default()
+    };
     let (dialer, listener) = event_sim_listener();
-    let event_loop = ServerEventLoop::new(
-        listener,
-        handler,
-        EventLoopOptions {
-            accept_limit: n as usize,
-            ..EventLoopOptions::default()
-        },
-    );
+    let server = make_server(config, base);
     let start = Instant::now();
-    let loop_thread = std::thread::spawn(move || event_loop.run());
+    let loop_thread = if stacked {
+        let event_loop = ServerEventLoop::new(listener, server, options);
+        std::thread::spawn(move || event_loop.run().1)
+    } else {
+        let event_loop = ServerEventLoop::new(listener, Solo(server), options);
+        std::thread::spawn(move || event_loop.run().1)
+    };
     let mut drivers = Vec::new();
     for k in 0..n {
         let mut client = make_client(k, text, config, base);
         let dialer = dialer.clone();
         drivers.push(std::thread::spawn(move || {
-            let mut transport = dialer
-                .dial(WanLink::lan(7 + k), WanLink::lan(100 + k))
-                .expect("dial");
-            drive_client(&mut client, &mut transport, STEPS).expect("event-loop fleet");
+            drive_client(
+                &mut client,
+                |_| dialer.dial(WanLink::lan(7 + k), WanLink::lan(100 + k)),
+                STEPS,
+                &RetryPolicy::none(),
+            )
+            .expect("event-loop fleet");
         }));
     }
     for d in drivers {
         d.join().expect("driver thread");
     }
-    let (_h, stats) = loop_thread.join().expect("loop thread");
+    let stats = loop_thread.join().expect("loop thread");
     (start.elapsed().as_secs_f64(), stats)
 }
 
@@ -211,9 +235,9 @@ fn run_overload(
                 seed: client.id().0,
             };
             let start = Instant::now();
-            drive_client_resumable(
+            drive_client(
                 &mut client,
-                || dialer.dial(WanLink::lan(7 + k), WanLink::lan(100 + k)),
+                |_| dialer.dial(WanLink::lan(7 + k), WanLink::lan(100 + k)),
                 STEPS,
                 &policy,
             )
@@ -238,6 +262,45 @@ fn percentile(xs: &[f64], p: f64) -> f64 {
     s[rank.min(s.len() - 1)]
 }
 
+/// A client's end of one simulated WAN connection, metering what
+/// crosses it: frame bytes in both directions and the virtual clock
+/// both links advance.
+struct Metered<'a> {
+    inner: SimTransport<ClientMessage, ServerMessage>,
+    bytes: &'a Cell<u64>,
+    clock: &'a Cell<Nanos>,
+}
+
+impl Metered<'_> {
+    fn note<M: WireMessage>(&self, msg: &M) {
+        let (header, body) = msg.to_wire_parts();
+        self.bytes
+            .set(self.bytes.get() + (header.len() + body.len()) as u64);
+        self.clock.set(self.inner.elapsed());
+    }
+}
+
+impl Transport for Metered<'_> {
+    type Tx = ClientMessage;
+    type Rx = ServerMessage;
+
+    fn send(&mut self, msg: &ClientMessage) -> Result<(), ProtocolError> {
+        self.inner.send(msg)?;
+        self.note(msg);
+        Ok(())
+    }
+
+    fn recv(&mut self) -> Result<ServerMessage, ProtocolError> {
+        let msg = self.inner.recv()?;
+        self.note(&msg);
+        Ok(msg)
+    }
+
+    fn set_deadline(&mut self, deadline: Option<Duration>) -> Result<(), ProtocolError> {
+        self.inner.set_deadline(deadline)
+    }
+}
+
 /// One client training `CODEC_STEPS` steps against the shared server
 /// over the geo-distributed WAN profile (60 ms, 8 MB/s, 5% jitter),
 /// advertising exactly one codec. Returns `(bytes_per_step,
@@ -251,30 +314,46 @@ fn run_codec_wan(
     config: &ModelConfig,
     base: &Arc<Mutex<ParamStore>>,
 ) -> (f64, f64) {
-    let handler = make_server(config, base);
-    let (mut client_t, mut server_t) = sim_pair(
-        WanLink::geo_distributed(SEED),
-        WanLink::geo_distributed(SEED + 1),
+    let (dialer, listener) = event_sim_listener();
+    let event_loop = ServerEventLoop::new(
+        listener,
+        make_server(config, base),
+        EventLoopOptions {
+            accept_limit: 1,
+            ..EventLoopOptions::default()
+        },
     );
-    let mut h = handler.clone();
-    let server = std::thread::spawn(move || {
-        serve_loop(&mut server_t, &mut h).expect("clean serve");
-        server_t.link_stats()
-    });
+    let server = std::thread::spawn(move || event_loop.run());
     let mut client = make_client(0, text, config, base);
     if codec != Codec::F32Raw {
         client.set_advertised_codecs(codec.flag());
     }
-    drive_client(&mut client, &mut client_t, CODEC_STEPS).expect("codec fleet");
+    let bytes = Cell::new(0);
+    let clock = Cell::new(Nanos(0));
+    drive_client(
+        &mut client,
+        |_| {
+            Ok(Metered {
+                inner: dialer.dial(
+                    WanLink::geo_distributed(SEED),
+                    WanLink::geo_distributed(SEED + 1),
+                )?,
+                bytes: &bytes,
+                clock: &clock,
+            })
+        },
+        CODEC_STEPS,
+        &RetryPolicy::none(),
+    )
+    .expect("codec fleet");
     assert_eq!(
         client.codec(),
         codec,
         "server must echo the advertised codec"
     );
-    let (down_bytes, _) = server.join().expect("server thread");
-    let (up_bytes, _) = client_t.link_stats();
-    let bytes_per_step = (up_bytes + down_bytes) as f64 / CODEC_STEPS as f64;
-    let steps_per_sec = CODEC_STEPS as f64 / client_t.elapsed().as_secs_f64();
+    server.join().expect("server thread");
+    let bytes_per_step = bytes.get() as f64 / CODEC_STEPS as f64;
+    let steps_per_sec = CODEC_STEPS as f64 / clock.get().as_secs_f64();
     (bytes_per_step, steps_per_sec)
 }
 
@@ -307,12 +386,12 @@ fn run_codec_study(lines: &mut Vec<String>) -> (f64, f64) {
             bytes_per_step / raw_bytes,
             steps_per_sec,
         );
-        lines.push(format!(
+        lines.push(with_host(&format!(
             "{{\"group\":\"serve\",\"bench\":\"codec/{}\",\"clients\":1,\
              \"steps\":{CODEC_STEPS},\"bytes_per_step\":{bytes_per_step:.0},\
              \"wan_steps_per_sec\":{steps_per_sec:.2}}}",
             codec.name(),
-        ));
+        )));
     }
     (raw_bytes, f16_bytes)
 }
@@ -348,27 +427,11 @@ fn run_worker(mode: &str, n: u64) {
     // Count only serving traffic, not model setup.
     menos_tensor::pool::reset_stats();
     let line = match mode {
-        "threaded" => {
-            let rates: Vec<f64> = (0..REPEATS)
-                .map(|_| total_steps / run_threaded(n, &text, &config, &base))
-                .collect();
-            let rate = median(&rates);
-            let p = menos_tensor::pool::stats();
-            let copied_per_step = p.bytes_copied / (n * STEPS as u64 * REPEATS as u64);
-            format!(
-                "{{\"group\":\"serve\",\"bench\":\"threaded/n{n}\",\"clients\":{n},\
-                 \"steps\":{STEPS},\"repeats\":{REPEATS},\"steps_per_sec\":{rate:.2},\
-                 \"vm_hwm_kb\":{},\"pool_hit_rate\":{:.3},\"bytes_copied_per_step\":{}}}",
-                vm_hwm_kb(),
-                p.hit_rate(),
-                copied_per_step,
-            )
-        }
-        "event_loop" => {
+        arm @ ("stacked" | "solo") => {
             let mut rates = Vec::new();
             let mut stats = EventLoopStats::default();
             for _ in 0..REPEATS {
-                let (s, st) = run_event_loop(n, &text, &config, &base);
+                let (s, st) = run_event_loop(n, arm == "stacked", &text, &config, &base);
                 rates.push(total_steps / s);
                 stats = st;
             }
@@ -376,7 +439,7 @@ fn run_worker(mode: &str, n: u64) {
             let p = menos_tensor::pool::stats();
             let copied_per_step = p.bytes_copied / (n * STEPS as u64 * REPEATS as u64);
             format!(
-                "{{\"group\":\"serve\",\"bench\":\"event_loop/n{n}\",\"clients\":{n},\
+                "{{\"group\":\"serve\",\"bench\":\"{arm}/n{n}\",\"clients\":{n},\
                  \"steps\":{STEPS},\"repeats\":{REPEATS},\"steps_per_sec\":{rate:.2},\
                  \"batches\":{},\"batched_messages\":{},\"max_batch\":{},\"vm_hwm_kb\":{},\
                  \"pool_hit_rate\":{:.3},\"bytes_copied_per_step\":{}}}",
@@ -405,7 +468,13 @@ fn run_worker(mode: &str, n: u64) {
         }
         other => panic!("unknown worker mode {other:?}"),
     };
-    println!("{line}");
+    println!("{}", with_host(&line));
+}
+
+/// Appends the [`host_json`] facts to a one-line JSON object.
+fn with_host(line: &str) -> String {
+    let body = line.strip_suffix('}').expect("a JSON object");
+    format!("{body},{}}}", host_json())
 }
 
 /// Spawns `--worker mode n` as a subprocess and returns its JSON line.
@@ -488,12 +557,12 @@ fn fleet_client(
 fn run_backend_worker(snapshot_dir: &str) -> ! {
     let (_, config, base) = fleet_setup();
     let view = base.lock().unwrap().shared_view(false);
-    let handler = Arc::new(Mutex::new(MenosServer::from_store(
+    let handler = MenosServer::from_store(
         config,
         view,
         ServerSpec::v100(ServerMode::menos()),
         FLEET_MODEL_SEED,
-    )));
+    );
     let server = TcpEventServer::spawn_with_snapshots(
         ("127.0.0.1", 0),
         handler,
@@ -603,7 +672,7 @@ fn run_fleet_study(policy: PlacementPolicy, label: &str) -> String {
                     seed: k,
                 };
                 let t0 = Instant::now();
-                run_tcp_client_fleet(&coord_addr, &mut client, FLEET_STEPS, &retry)
+                run_tcp_client(coord_addr.as_str(), &mut client, FLEET_STEPS, &retry)
                     .expect("fleet client completes across the failover");
                 t0.elapsed().as_secs_f64()
             })
@@ -671,7 +740,7 @@ fn run_fleet_study(policy: PlacementPolicy, label: &str) -> String {
     let _ = std::fs::remove_dir_all(&root);
 
     let rate = (FLEET_CLIENTS as usize * FLEET_STEPS) as f64 / elapsed;
-    format!(
+    with_host(&format!(
         "{{\"group\":\"serve\",\"bench\":\"fleet/{label}\",\"clients\":{FLEET_CLIENTS},\
          \"backends\":{FLEET_BACKENDS},\"steps\":{FLEET_STEPS},\"capacity\":{FLEET_CAPACITY},\
          \"completed\":{},\"steps_per_sec\":{rate:.2},\"migrated\":{},\"failovers\":{},\
@@ -684,7 +753,7 @@ fn run_fleet_study(policy: PlacementPolicy, label: &str) -> String {
         stats.heartbeats_missed,
         percentile(&latencies, 50.0) * 1e3,
         percentile(&latencies, 95.0) * 1e3,
-    )
+    ))
 }
 
 const FLEET_POLICIES: [(PlacementPolicy, &str); 2] = [
@@ -714,24 +783,23 @@ fn run_fleet_table(lines: &mut Vec<String>) {
     }
 }
 
-/// CI regression guard: rerun the N=32 point in both modes and compare
+/// CI regression guard: rerun the N=32 point in both arms and compare
 /// them against each other, exit nonzero on regression.
 ///
-/// Both limits are ratios between the two modes of the *same*
-/// invocation: absolute steps/s and VmHWM vary with the host (this
-/// box alone swings 60–85 steps/s run to run), so comparing against
+/// Both limits are ratios between the two arms of the *same*
+/// invocation: absolute steps/s and VmHWM vary with the host (one box
+/// alone swings 60–85 steps/s run to run), so comparing against
 /// committed numbers would fail on any runner slower than the machine
-/// that wrote them. The mode-vs-mode ratio is what the zero-copy work
-/// actually promises, and it is machine-independent.
+/// that wrote them. The arm-vs-arm ratio is what stacking has to
+/// justify — its speed against its extra memory — and it is
+/// machine-independent.
 fn run_check() -> ! {
     const CHECK_N: u64 = 32;
-    // N=32 is the event loop's worst memory point relative to threaded:
-    // one near-full stacked group pays concat/scatter copies the
-    // thread-per-client pump never builds, measuring 1.4–1.8x across
-    // runs (N=128 is ~1.25x, N=512 ~0.85x — see EXPERIMENTS.md). The
-    // limits guard against regression from that level — the uncapped
-    // stacked path this replaced measured >2.5x memory at a 0.58x
-    // slowdown — not an aspirational ratio.
+    // N=32 is stacking's worst memory point: one near-full stacked
+    // group pays concat/scatter copies that solo replay never builds.
+    // The limits guard against regression from that level — the
+    // uncapped stacked path measured >2.5x memory at a 0.58x slowdown
+    // — not an aspirational ratio.
     const HWM_RATIO_LIMIT: f64 = 2.0;
     const RATE_RATIO_FLOOR: f64 = 0.8;
     // Compression guard: f16 must keep its promised wire saving over
@@ -739,9 +807,9 @@ fn run_check() -> ! {
     // 0.55x leaves headroom over the ideal 0.5x for frame headers and
     // the un-compressed control handshake.
     const F16_BYTES_RATIO_LIMIT: f64 = 0.55;
-    let threaded = spawn_worker("threaded", CHECK_N);
-    let event = spawn_worker("event_loop", CHECK_N);
-    println!("{threaded}\n{event}");
+    let solo = spawn_worker("solo", CHECK_N);
+    let stacked = spawn_worker("stacked", CHECK_N);
+    println!("{solo}\n{stacked}");
     let mut failures = Vec::new();
 
     let mut codec_lines = Vec::new();
@@ -817,28 +885,30 @@ fn run_check() -> ! {
         );
     }
 
-    let t_hwm = json_num(&threaded, "vm_hwm_kb").expect("threaded vm_hwm_kb");
-    let e_hwm = json_num(&event, "vm_hwm_kb").expect("event vm_hwm_kb");
-    if t_hwm > 0.0 && e_hwm > HWM_RATIO_LIMIT * t_hwm {
+    let solo_hwm = json_num(&solo, "vm_hwm_kb").expect("solo vm_hwm_kb");
+    let stacked_hwm = json_num(&stacked, "vm_hwm_kb").expect("stacked vm_hwm_kb");
+    if solo_hwm > 0.0 && stacked_hwm > HWM_RATIO_LIMIT * solo_hwm {
         failures.push(format!(
-            "event-loop VmHWM {e_hwm} kB exceeds {HWM_RATIO_LIMIT}x threaded ({t_hwm} kB)"
+            "stacked VmHWM {stacked_hwm} kB exceeds {HWM_RATIO_LIMIT}x solo ({solo_hwm} kB)"
         ));
-    } else if t_hwm > 0.0 {
+    } else if solo_hwm > 0.0 {
         println!(
-            "VmHWM: event {e_hwm} kB / threaded {t_hwm} kB = {:.2}x (limit {HWM_RATIO_LIMIT}x) — ok",
-            e_hwm / t_hwm
+            "VmHWM: stacked {stacked_hwm} kB / solo {solo_hwm} kB = {:.2}x \
+             (limit {HWM_RATIO_LIMIT}x) — ok",
+            stacked_hwm / solo_hwm
         );
     }
-    let t_rate = json_num(&threaded, "steps_per_sec").expect("threaded steps_per_sec");
-    let e_rate = json_num(&event, "steps_per_sec").expect("event steps_per_sec");
-    if e_rate < RATE_RATIO_FLOOR * t_rate {
+    let solo_rate = json_num(&solo, "steps_per_sec").expect("solo steps_per_sec");
+    let stacked_rate = json_num(&stacked, "steps_per_sec").expect("stacked steps_per_sec");
+    if stacked_rate < RATE_RATIO_FLOOR * solo_rate {
         failures.push(format!(
-            "event-loop {e_rate:.2} steps/s below {RATE_RATIO_FLOOR}x threaded ({t_rate:.2})"
+            "stacked {stacked_rate:.2} steps/s below {RATE_RATIO_FLOOR}x solo ({solo_rate:.2})"
         ));
     } else {
         println!(
-            "steps/s: event {e_rate:.2} / threaded {t_rate:.2} = {:.2}x (floor {RATE_RATIO_FLOOR}x) — ok",
-            e_rate / t_rate
+            "steps/s: stacked {stacked_rate:.2} / solo {solo_rate:.2} = {:.2}x \
+             (floor {RATE_RATIO_FLOOR}x) — ok",
+            stacked_rate / solo_rate
         );
     }
     if failures.is_empty() {
@@ -872,38 +942,40 @@ fn main() {
     }
 
     let mut lines = Vec::new();
-    println!("== Many-client serving: thread-per-client vs event-loop-batched ==");
+    println!("== Many-client serving: event loop, stacked vs solo replay ==");
     println!("   (median of {REPEATS} repeats, {STEPS} steps/client, SimTransport,");
     println!("    one subprocess per configuration for honest VmHWM)\n");
     println!(
-        "{:>8} {:>14} {:>14} {:>8} {:>10} {:>12} {:>9} {:>12}",
+        "{:>8} {:>12} {:>12} {:>8} {:>10} {:>14} {:>9} {:>12}",
         "clients",
-        "threaded st/s",
-        "eventloop st/s",
-        "speedup",
+        "solo st/s",
+        "stacked st/s",
+        "ratio",
         "max batch",
-        "VmHWM MB",
+        "VmHWM MB s/st",
         "hit rate",
         "kB copy/step"
     );
     for n in FLEET_SIZES {
-        let threaded = spawn_worker("threaded", n);
-        let event = spawn_worker("event_loop", n);
-        let threaded_rate = json_num(&threaded, "steps_per_sec").expect("rate");
-        let event_rate = json_num(&event, "steps_per_sec").expect("rate");
-        let hwm_event = json_num(&event, "vm_hwm_kb").expect("hwm");
-        let max_batch = json_num(&event, "max_batch").expect("max_batch");
-        let hit_rate = json_num(&event, "pool_hit_rate").expect("hit rate");
-        let copied = json_num(&event, "bytes_copied_per_step").expect("copied");
+        let solo = spawn_worker("solo", n);
+        let stacked = spawn_worker("stacked", n);
+        let solo_rate = json_num(&solo, "steps_per_sec").expect("rate");
+        let stacked_rate = json_num(&stacked, "steps_per_sec").expect("rate");
+        let hwm_solo = json_num(&solo, "vm_hwm_kb").expect("hwm");
+        let hwm_stacked = json_num(&stacked, "vm_hwm_kb").expect("hwm");
+        let max_batch = json_num(&stacked, "max_batch").expect("max_batch");
+        let hit_rate = json_num(&stacked, "pool_hit_rate").expect("hit rate");
+        let copied = json_num(&stacked, "bytes_copied_per_step").expect("copied");
         println!(
-            "{n:>8} {threaded_rate:>14.2} {event_rate:>14.2} {:>7.2}x {max_batch:>10} \
-             {:>12.1} {hit_rate:>9.3} {:>12.1}",
-            event_rate / threaded_rate,
-            hwm_event / 1024.0,
+            "{n:>8} {solo_rate:>12.2} {stacked_rate:>12.2} {:>7.2}x {max_batch:>10} \
+             {:>6.1}/{:<7.1} {hit_rate:>9.3} {:>12.1}",
+            stacked_rate / solo_rate,
+            hwm_solo / 1024.0,
+            hwm_stacked / 1024.0,
             copied / 1024.0,
         );
-        lines.push(threaded);
-        lines.push(event);
+        lines.push(solo);
+        lines.push(stacked);
     }
     println!("\n== Forced overload: N clients vs live-session capacity N/4 ==");
     println!(

@@ -4,13 +4,11 @@
 //! The timed multi-client behaviour (scheduling, memory) is the
 //! simulated runtime's job; this façade is the *real-engine* server a
 //! deployment embeds. It implements `menos-split`'s
-//! [`MessageHandler`], so any [`Transport`]-driven
-//! [`serve_loop`](menos_split::serve_loop) — in-memory channels, the
-//! simulated WAN, or real TCP sockets — pumps messages into the same
-//! state machine; the per-session forward/backward step is
-//! [`dispatch_session`], shared with the in-process driver.
-//!
-//! [`Transport`]: menos_split::Transport
+//! [`MessageHandler`] and [`BatchHandler`], so the
+//! [`ServerEventLoop`](menos_split::ServerEventLoop) — over in-memory
+//! channels, the simulated WAN, or real TCP sockets — pumps messages
+//! into the same state machine; the per-session forward/backward step
+//! is [`dispatch_session`], shared with the in-process driver.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
@@ -153,7 +151,7 @@ impl MenosServer {
     /// Sets the GPU-pool utilization percentage at which the server
     /// starts degrading gracefully: [`MenosServer::under_pressure`]
     /// turns true (event-loop accepts are deferred) and the stacked
-    /// dispatch cap shrinks below [`MAX_STACK_MEMBERS`] so fused steps
+    /// dispatch cap shrinks below `MAX_STACK_MEMBERS` so fused steps
     /// stop growing the transient footprint. Values above 100 are
     /// clamped to 100; the default 100 degrades only at full
     /// reservation.
@@ -182,7 +180,7 @@ impl MenosServer {
     }
 
     /// The stacked-dispatch member cap currently in force:
-    /// [`MAX_STACK_MEMBERS`] normally, a quarter of it under memory
+    /// `MAX_STACK_MEMBERS` normally, a quarter of it under memory
     /// pressure. Shrinking the stack never changes results — stacking
     /// is byte-identical to solo dispatch at any grouping — it only
     /// bounds the fused step's transient memory while the pool is

@@ -14,11 +14,12 @@
 //! `Connect`/`Resume` with `Redirect` (or `Busy`) and never proxies a
 //! tensor byte — training traffic always flows client ↔ backend
 //! directly, so the paper's bandwidth story is untouched. Clients
-//! chase redirects with
-//! [`drive_client_routed`](menos_split::drive_client_routed): a
+//! chase redirects with [`drive_client`](menos_split::drive_client): a
 //! placement costs no retry budget, and a mid-run backend death walks
 //! the client back to the coordinator for re-placement once migration
-//! completes.
+//! completes. The coordinator's listener is an ordinary
+//! [`TcpEventServer`] running the default one-at-a-time replay
+//! [`BatchHandler`].
 //!
 //! Correctness bar (the house standard): a fleet run that loses a
 //! whole server mid-training must produce loss curves and final
@@ -40,8 +41,8 @@ use std::time::Duration;
 use menos_core::{encode_session_record, ServerState};
 use menos_net::{HeartbeatMonitor, HeartbeatVerdict};
 use menos_split::{
-    ClientId, ClientMessage, MessageHandler, ProtocolError, ServerMessage, SnapshotPolicy,
-    TcpSplitServer, TcpTransport, Transport,
+    BatchHandler, ClientId, ClientMessage, EventLoopOptions, MessageHandler, ProtocolError,
+    ServerMessage, SnapshotPolicy, TcpEventServer, TcpOptions, TcpTransport, Transport,
 };
 
 /// The client id heartbeat probes travel under. Probes never bind a
@@ -441,8 +442,11 @@ fn health_loop(shared: Arc<Shared>) {
 }
 
 /// The coordinator's wire-facing half: a [`MessageHandler`] served by
-/// the stock accept loop. Control messages only — a tensor frame here
-/// means a client ignored its redirect, and gets a typed error.
+/// the stock event loop. Control messages only — a tensor frame here
+/// means a client ignored its redirect, and gets a typed error. Every
+/// answer is computed under the state lock without I/O (migration's
+/// imports run on the health thread), so the loop never stalls on a
+/// backend.
 struct CoordinatorHandler {
     shared: Arc<Shared>,
 }
@@ -470,12 +474,14 @@ impl MessageHandler for CoordinatorHandler {
     fn connection_lost(&mut self, _client: ClientId) {}
 }
 
+impl BatchHandler for CoordinatorHandler {}
+
 /// Supervises N backends: placement at `Connect`, heartbeat failure
 /// detection, snapshot-replay migration at failover. See the crate
 /// docs for the protocol walk-through.
 pub struct FleetCoordinator {
     shared: Arc<Shared>,
-    server: Option<TcpSplitServer>,
+    server: Option<TcpEventServer<CoordinatorHandler>>,
     health: Option<JoinHandle<()>>,
     addr: SocketAddr,
 }
@@ -498,10 +504,21 @@ impl FleetCoordinator {
             ));
         }
         let shared = Arc::new(Shared::new(backends, options));
-        let handler = Arc::new(Mutex::new(CoordinatorHandler {
+        let handler = CoordinatorHandler {
             shared: shared.clone(),
-        }));
-        let server = TcpSplitServer::spawn(addr, handler, options.accept_limit)?;
+        };
+        let server = TcpEventServer::spawn(
+            addr,
+            handler,
+            EventLoopOptions {
+                accept_limit: options.accept_limit,
+                // A client parked on the coordinator is dropped after
+                // the default TCP deadline, like any silent peer.
+                io_timeout: TcpOptions::default().io_timeout,
+                ..EventLoopOptions::default()
+            },
+            TcpOptions::default(),
+        )?;
         let bound = server.addr();
         let health = {
             let shared = shared.clone();
@@ -536,32 +553,29 @@ impl FleetCoordinator {
         self.shared.lock().alive.clone()
     }
 
-    /// Stops the health thread and the accept loop, returning the
-    /// final counters.
+    /// Stops the health thread and the control listener, returning the
+    /// final counters. Open client connections get an
+    /// `Evicted(Shutdown)` notice or a plain close; once this returns
+    /// the address refuses new dials.
     pub fn shutdown(mut self) -> FleetStats {
+        self.stop();
+        self.stats()
+    }
+
+    fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         if let Some(h) = self.health.take() {
             let _ = h.join();
         }
         if let Some(server) = self.server.take() {
-            // The accept loop only re-checks its flag after accept()
-            // returns; one throwaway dial unblocks it.
-            drop(server); // raises the accept loop's shutdown flag
-            let _ = std::net::TcpStream::connect(self.addr);
+            server.shutdown();
         }
-        self.stats()
     }
 }
 
 impl Drop for FleetCoordinator {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.health.take() {
-            let _ = h.join();
-        }
-        if self.server.take().is_some() {
-            let _ = std::net::TcpStream::connect(self.addr);
-        }
+        self.stop();
     }
 }
 
@@ -747,6 +761,53 @@ mod tests {
             matches!(reply, ServerMessage::Pong { seq: 41, .. }),
             "{reply:?}"
         );
+    }
+
+    /// `shutdown()` must stop serving, not just stop accepting: with a
+    /// placed client still connected, the listener is closed once it
+    /// returns and the idle client is told (or at least hung up on).
+    #[test]
+    fn shutdown_closes_the_listener_and_releases_idle_clients() {
+        use menos_split::EvictionCode;
+
+        let backends = vec![BackendSpec {
+            // Nothing listens here: probes fail fast, which is fine —
+            // the test only needs the coordinator's own listener.
+            addr: "127.0.0.1:9".into(),
+            snapshot_dir: PathBuf::from("/nonexistent/0"),
+        }];
+        let coordinator = FleetCoordinator::spawn("127.0.0.1:0", backends, FleetOptions::default())
+            .expect("spawn coordinator");
+        let addr = coordinator.addr();
+        let mut idle = TcpTransport::connect(addr).expect("dial coordinator");
+        idle.set_deadline(Some(Duration::from_secs(10))).unwrap();
+        idle.send(&ClientMessage::Resume {
+            client: ClientId(3),
+            epoch: 1,
+            last_step: 0,
+        })
+        .expect("resume");
+        // Steered (or held off, if the unreachable backend was already
+        // ruled dead); either way the connection is now bound and idle.
+        assert!(matches!(
+            idle.recv(),
+            Ok(ServerMessage::Redirect { .. } | ServerMessage::Busy { .. })
+        ));
+
+        coordinator.shutdown();
+
+        assert!(
+            std::net::TcpStream::connect(addr).is_err(),
+            "a shut-down coordinator must refuse new dials"
+        );
+        match idle.recv() {
+            Ok(ServerMessage::Evicted {
+                code: EvictionCode::Shutdown,
+                ..
+            })
+            | Err(ProtocolError::Disconnected) => {}
+            other => panic!("idle client saw {other:?}, want Evicted or EOF"),
+        }
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Deterministic chaos injection for the event-driven server path.
-//!
-//! [`FaultTransport`](crate::FaultTransport) scripts faults into the
-//! *blocking* server pump; this module extends the idea to the
-//! nonblocking path: [`ChaosListener`] wraps any
-//! [`EventListener`](crate::EventListener) and hands the event loop
-//! [`ChaosConn`]s that inject scripted faults — hangups on the read
-//! path, hangups while queueing replies, and reply delays that force
-//! the loop through its partial-write flush machinery.
+//! Deterministic fault injection for the server: [`ChaosListener`]
+//! wraps any [`EventListener`](crate::EventListener) and hands the
+//! event loop [`ChaosConn`]s that inject scripted faults — hangups on
+//! the read path, hangups while queueing replies, corrupt and
+//! duplicated frames, silent partitions, and reply delays that force
+//! the loop through its partial-write flush machinery. It is the
+//! crate's only fault injector, and it injects into the real
+//! [`ServerEventLoop`](crate::ServerEventLoop), not a stand-in pump.
 //!
 //! Faults are *scripted, not random at runtime*: each connection
 //! learns its client id from the `Connect`/`Resume` message passing

@@ -1,14 +1,12 @@
-//! The event-driven server pump: one thread, many clients, batched
-//! dispatch.
+//! The server pump: one thread, many clients, batched dispatch.
 //!
-//! [`serve_loop`](crate::serve_loop) parks one OS thread per client in
-//! a blocking `recv`. That shape caps concurrency at the thread budget
-//! and — worse for Menos — hands the compute backend one client's
-//! micro-batch at a time, so the parallel matmul kernels never see the
-//! large batches they were built for. This module replaces the pump,
-//! not the protocol: the same encoded bytes, the same
-//! [`MessageHandler`] state machine, the same error taxonomy, driven
-//! by a single-threaded readiness loop.
+//! Parking one OS thread per client in a blocking `recv` would cap
+//! concurrency at the thread budget and — worse for Menos — hand the
+//! compute backend one client's micro-batch at a time, so the
+//! parallel matmul kernels would never see the large batches they
+//! were built for. This module drives the [`MessageHandler`] state
+//! machine from a single-threaded readiness loop instead: the same
+//! encoded bytes and the same error taxonomy on every transport.
 //!
 //! The pieces:
 //!
@@ -23,11 +21,11 @@
 //!   `MenosServer` implements it by stacking compatible clients'
 //!   activations into one forward/backward; the default implementation
 //!   just replays messages one by one, which keeps every handler
-//!   usable under the new pump.
+//!   usable under the loop.
 //! * [`ServerEventLoop`] — the pump itself: accept, sweep reads,
-//!   batch-dispatch, flush, repeat. Connection failures reclaim the
-//!   failed client's session (synthetic `Disconnect`) exactly like the
-//!   blocking pump; other clients never notice.
+//!   batch-dispatch, flush, repeat. A failed connection hands its
+//!   client's session to [`MessageHandler::connection_lost`]; other
+//!   clients never notice.
 //!
 //! Because the lock-step protocol allows at most one outstanding
 //! message per client, the batching rule is simple: collect tensor
@@ -464,14 +462,9 @@ struct ConnState<C> {
     last_activity: Instant,
 }
 
-/// The single-threaded, event-driven replacement for one
-/// [`serve_loop`](crate::serve_loop) thread per client: owns every
-/// client connection, sweeps them for ready messages, and dispatches
-/// the ready set to a [`BatchHandler`] as one batch.
-///
-/// Protocol behaviour is identical to the blocking pump — same codec,
-/// same handler state machine, same disconnect-reclamation on error —
-/// only the scheduling differs.
+/// The single-threaded, event-driven server pump: owns every client
+/// connection, sweeps them for ready messages, and dispatches the
+/// ready set to a [`BatchHandler`] as one batch.
 pub struct ServerEventLoop<L: EventListener, H: BatchHandler> {
     listener: L,
     handler: H,
@@ -540,11 +533,10 @@ impl<L: EventListener, H: BatchHandler> ServerEventLoop<L, H> {
         let mut last_expiry_check = Instant::now();
 
         // Drops a connection and hands its session to the handler's
-        // lost-connection path, leaving every other client untouched —
-        // the event-loop analogue of `serve_loop`'s error path. Under
-        // `MenosServer` the session is quarantined for resumption; the
-        // default hook synthesizes a `Disconnect`, preserving the old
-        // reclaim-on-error behaviour for plain handlers.
+        // lost-connection path, leaving every other client untouched.
+        // Under `MenosServer` the session is quarantined for
+        // resumption; the default hook synthesizes a `Disconnect`,
+        // reclaiming the session outright for plain handlers.
         //
         // Staged-but-undispatched messages from the dead connection are
         // purged with it: dispatching them later would advance the
@@ -818,8 +810,7 @@ impl<L: EventListener, H: BatchHandler> ServerEventLoop<L, H> {
                                     // Rejected (validation/admission,
                                     // stale epoch, live session):
                                     // drop the connection; the peer
-                                    // observes a disconnect, same as
-                                    // the blocking pump.
+                                    // observes a disconnect.
                                     fail_conn(
                                         &mut conns,
                                         &mut handler,
@@ -1199,8 +1190,7 @@ impl EventConn for SimTransport<ServerMessage, ClientMessage> {
     }
 
     fn queue(&mut self, msg: &ServerMessage) -> Result<(), ProtocolError> {
-        // Charges the downlink's virtual transfer time, identical to
-        // the blocking pump's reply path.
+        // Charges the downlink's virtual transfer time.
         Transport::send(self, msg)
     }
 
@@ -1214,7 +1204,8 @@ mod tests {
     use super::*;
     use crate::client::SplitClient;
     use crate::driver::ForwardMode;
-    use crate::protocol::{drive_client, SessionHandler};
+    use crate::protocol::SessionHandler;
+    use crate::retry::{drive_client, RetryPolicy};
     use crate::server::ServerSession;
     use crate::spec::SplitSpec;
     use menos_adapters::FineTuneConfig;
@@ -1265,8 +1256,8 @@ mod tests {
             },
         );
         let server = std::thread::spawn(move || event_loop.run());
-        let mut transport = dialer.dial().expect("dial");
-        let curve = drive_client(&mut client, &mut transport, 3).expect("training");
+        let curve = drive_client(&mut client, |_| dialer.dial(), 3, &RetryPolicy::none())
+            .expect("training");
         assert_eq!(curve.points().len(), 3);
         let (handler, stats) = server.join().expect("loop thread");
         assert!(handler.session().is_none(), "disconnect reclaims session");
@@ -1291,16 +1282,27 @@ mod tests {
             },
         );
         let server = std::thread::spawn(move || event_loop.run());
+        // Connect and send one step's activations, then vanish without
+        // a Disconnect.
         let mut transport = dialer.dial().expect("dial");
-        // One clean step, then vanish without a Disconnect.
-        drive_client(&mut client, &mut transport, 1).ok();
-        // drive_client sent Disconnect; redo manually for the abrupt
-        // variant: dial a second loop instead.
+        Transport::send(&mut transport, &connect_msg(0)).expect("connect");
+        assert!(matches!(transport.recv(), Ok(ServerMessage::Ready { .. })));
+        let x_c = client.start_step();
+        let frame = client.encode_activations(&x_c);
+        Transport::send(
+            &mut transport,
+            &ClientMessage::Activations {
+                client: ClientId(0),
+                frame,
+            },
+        )
+        .expect("activations");
         drop(transport);
         let (handler, stats) = server.join().expect("loop thread");
         assert!(handler.session().is_none());
         assert_eq!(stats.accepted, 1);
-        assert_eq!(stats.served + stats.conn_errors, 1);
+        assert_eq!(stats.served, 0);
+        assert_eq!(stats.conn_errors, 1);
     }
 
     #[test]
@@ -1413,8 +1415,7 @@ mod tests {
         )
         .with_snapshots(SnapshotPolicy::durable(&dir));
         let server = std::thread::spawn(move || event_loop.run());
-        let mut transport = dialer.dial().expect("dial");
-        drive_client(&mut client, &mut transport, 2).expect("training");
+        drive_client(&mut client, |_| dialer.dial(), 2, &RetryPolicy::none()).expect("training");
         let (handler, stats) = server.join().expect("loop thread");
         // Connect + 2×(activations, gradients) + Disconnect = 6
         // dispatched messages; durable mode snapshots Connect,
@@ -1454,8 +1455,7 @@ mod tests {
         // snapshot fires.
         .with_snapshots(SnapshotPolicy::periodic(&dir, 1000));
         let server = std::thread::spawn(move || event_loop.run());
-        let mut transport = dialer.dial().expect("dial");
-        drive_client(&mut client, &mut transport, 2).expect("training");
+        drive_client(&mut client, |_| dialer.dial(), 2, &RetryPolicy::none()).expect("training");
         let (handler, stats) = server.join().expect("loop thread");
         assert_eq!(stats.snapshots, 1, "only the exit snapshot");
         let bytes = SnapshotPolicy::read(&dir).expect("snapshot exists");
@@ -1480,8 +1480,7 @@ mod tests {
         )
         .with_snapshots(SnapshotPolicy::durable(&dir));
         let server = std::thread::spawn(move || event_loop.run());
-        let mut transport = dialer.dial().expect("dial");
-        drive_client(&mut client, &mut transport, 1).expect("training");
+        drive_client(&mut client, |_| dialer.dial(), 1, &RetryPolicy::none()).expect("training");
         let (_handler, stats) = server.join().expect("loop thread");
         assert_eq!(stats.snapshots, 0);
         assert_eq!(stats.snapshot_errors, 0);
@@ -1566,8 +1565,8 @@ mod tests {
             },
         );
         let server = std::thread::spawn(move || event_loop.run());
-        let mut a = dialer.dial().expect("dial a");
-        let curve = drive_client(&mut client, &mut a, 1).expect("training");
+        let curve = drive_client(&mut client, |_| dialer.dial(), 1, &RetryPolicy::none())
+            .expect("training");
         assert_eq!(curve.points().len(), 1);
         let (_handler, stats) = server.join().expect("loop thread");
         assert_eq!(stats.accepted, 1);

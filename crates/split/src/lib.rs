@@ -56,7 +56,6 @@ mod client;
 mod codec;
 mod driver;
 mod event_loop;
-mod fault;
 mod message;
 mod protocol;
 mod retry;
@@ -79,19 +78,17 @@ pub use event_loop::{
     EventListener, EventLoopOptions, EventLoopStats, IdleBackoff, QueueListener, ServerEventLoop,
     SimDialer, SnapshotPolicy,
 };
-pub use fault::FaultTransport;
 pub use message::{
     activation_wire_bytes, activation_wire_bytes_with, ClientId, ClientMessage, EvictionCode,
     ServerMessage,
 };
 pub use protocol::{
-    channel_pair, dispatch_session, drive_client, serve_loop, sim_pair, ChannelTransport,
-    MessageHandler, ProtocolError, SessionHandler, SimTransport, Transport, WireMessage,
+    channel_pair, dispatch_session, sim_pair, ChannelTransport, MessageHandler, ProtocolError,
+    SessionHandler, SimTransport, Transport, WireMessage,
 };
-pub use retry::{drive_client_resumable, drive_client_routed, RetryPolicy, MIN_BUSY_DELAY};
+pub use retry::{drive_client, RetryPolicy, MIN_BUSY_DELAY};
 pub use server::ServerSession;
 pub use spec::SplitSpec;
 pub use tcp::{
-    run_tcp_client, run_tcp_client_fleet, run_tcp_client_resumable, TcpEventConn, TcpEventListener,
-    TcpEventServer, TcpOptions, TcpSplitServer, TcpTransport,
+    run_tcp_client, TcpEventConn, TcpEventListener, TcpEventServer, TcpOptions, TcpTransport,
 };

@@ -1,19 +1,22 @@
 //! The transport-agnostic protocol core: one error hierarchy, one
-//! [`Transport`] abstraction, and one client/server message pump.
+//! [`Transport`] abstraction, and the server-side state machine
+//! surface.
 //!
 //! Every execution path — in-process channels, the simulated WAN, and
 //! real TCP sockets — moves the *same encoded bytes* (the unified
 //! codec in [`crate::codec`]) through the same state machine:
 //!
-//! * [`drive_client`] is the only client-side protocol loop;
-//! * [`serve_loop`] is the only server-side pump, feeding messages to
-//!   a [`MessageHandler`] (the real-engine `MenosServer` in
-//!   `menos-core`, or a single-session [`SessionHandler`]);
+//! * [`drive_client`](crate::drive_client) is the only client-side
+//!   protocol loop;
+//! * [`ServerEventLoop`](crate::ServerEventLoop) is the only server
+//!   pump, feeding messages to a [`MessageHandler`] (the real-engine
+//!   `MenosServer` in `menos-core`, or a single-session
+//!   [`SessionHandler`]);
 //! * [`dispatch_session`] is the per-session forward/backward step
 //!   every handler delegates to.
 //!
 //! Errors anywhere in the stack surface as one typed
-//! [`ProtocolError`]; `serve_loop` converts them into clean
+//! [`ProtocolError`]; the event loop converts them into clean
 //! disconnect-reclamation so a failing client never strands its
 //! session memory.
 
@@ -27,7 +30,6 @@ use bytes::Bytes;
 use menos_net::{FrameError, WanLink, WireError, DEFAULT_MAX_FRAME};
 use menos_sim::Nanos;
 
-use crate::client::SplitClient;
 use crate::codec::{
     client_message_parts, decode_client_message, decode_client_message_parts,
     decode_server_message, decode_server_message_parts, encode_client_message,
@@ -36,7 +38,6 @@ use crate::codec::{
 use crate::driver::ForwardMode;
 use crate::message::{ClientId, ClientMessage, ServerMessage};
 use crate::server::ServerSession;
-use menos_data::LossCurve;
 
 // ----------------------------------------------------------------------
 // Error hierarchy
@@ -469,7 +470,8 @@ impl<Tx: WireMessage, Rx: WireMessage> Transport for SimTransport<Tx, Rx> {
 /// in, at most one reply out. `menos-core`'s `MenosServer` is the
 /// full multi-client implementation (admission control, profiling,
 /// shared-base registry); [`SessionHandler`] is the single-session
-/// variant the in-process tests use. [`serve_loop`] drives either —
+/// variant the in-process tests use. The
+/// [`ServerEventLoop`](crate::ServerEventLoop) drives either —
 /// transports never interpret protocol state themselves.
 pub trait MessageHandler {
     /// Dispatches one client message, returning the reply to send (if
@@ -519,8 +521,9 @@ pub trait MessageHandler {
     }
 }
 
-/// Shared handlers: connection threads hand `Arc<Mutex<H>>` around and
-/// serialize dispatch through the lock (one GPU, one state machine).
+/// Shared handlers: a caller that needs to inspect the handler while a
+/// loop serves it hands the loop an `Arc<Mutex<H>>`, and dispatch
+/// serializes through the lock (one GPU, one state machine).
 impl<H: MessageHandler> MessageHandler for Arc<Mutex<H>> {
     fn handle(&mut self, msg: ClientMessage) -> Result<Option<ServerMessage>, ProtocolError> {
         self.lock()
@@ -679,161 +682,6 @@ impl MessageHandler for SessionHandler {
     }
 }
 
-// ----------------------------------------------------------------------
-// The two protocol pumps
-// ----------------------------------------------------------------------
-
-/// The single server-side protocol pump: receives client messages
-/// from `transport`, dispatches them to `handler`, and sends replies —
-/// until the client disconnects cleanly or an error ends the
-/// connection.
-///
-/// On any failure after a successful `Connect`, the handler is fed a
-/// synthetic `Disconnect` before the error propagates, so the failed
-/// client's session memory is reclaimed and other clients are
-/// untouched.
-///
-/// # Errors
-///
-/// The first [`ProtocolError`] from the transport or the handler.
-pub fn serve_loop<T, H>(transport: &mut T, handler: &mut H) -> Result<(), ProtocolError>
-where
-    T: Transport<Tx = ServerMessage, Rx = ClientMessage>,
-    H: MessageHandler,
-{
-    let mut active: Option<ClientId> = None;
-    let reclaim = |handler: &mut H, active: Option<ClientId>| {
-        if let Some(client) = active {
-            handler.connection_lost(client);
-        }
-    };
-    loop {
-        let msg = match transport.recv() {
-            Ok(msg) => msg,
-            Err(e) => {
-                reclaim(handler, active);
-                return Err(e);
-            }
-        };
-        let client = msg.client();
-        // Resume binds the session to this connection exactly like
-        // Connect: a later fault must re-quarantine it.
-        let is_connect = matches!(
-            msg,
-            ClientMessage::Connect { .. } | ClientMessage::Resume { .. }
-        );
-        let is_disconnect = matches!(msg, ClientMessage::Disconnect { .. });
-        let reply = match handler.handle(msg) {
-            Ok(reply) => reply,
-            Err(e) => {
-                reclaim(handler, active);
-                return Err(e);
-            }
-        };
-        if let Some(reply) = reply {
-            if let Err(e) = transport.send(&reply) {
-                reclaim(handler, active);
-                return Err(e);
-            }
-        }
-        if is_connect {
-            active = Some(client);
-        }
-        if is_disconnect {
-            return Ok(());
-        }
-    }
-}
-
-/// The single client-side protocol loop: `Connect`/`Ready` handshake,
-/// then `steps` four-step iterations (activations out, server
-/// activations in, gradients out, server gradients in), then a clean
-/// `Disconnect`. Returns the client's loss curve.
-///
-/// # Errors
-///
-/// The first [`ProtocolError`]; the client's local state is
-/// consistent up to the last completed step.
-pub fn drive_client<T>(
-    client: &mut SplitClient,
-    transport: &mut T,
-    steps: usize,
-) -> Result<LossCurve, ProtocolError>
-where
-    T: Transport<Tx = ClientMessage, Rx = ServerMessage>,
-{
-    let id = client.id();
-    transport.send(&ClientMessage::Connect {
-        client: id,
-        ft: client.ft_config().clone(),
-        split: client.split(),
-        epoch: client.epoch(),
-        codecs: client.advertised_codecs(),
-    })?;
-    match transport.recv()? {
-        ServerMessage::Ready { codec, .. } => client.adopt_codec(codec),
-        ServerMessage::Busy {
-            client: c,
-            retry_after_ms,
-        } => {
-            // Typed so callers with a retry policy can honor the hint;
-            // this plain loop has none and simply propagates it.
-            return Err(ProtocolError::Busy {
-                client: c,
-                retry_after_ms,
-            });
-        }
-        ServerMessage::Redirect {
-            client: c,
-            addr,
-            retry_after_ms,
-        } => {
-            // Same deal: this plain loop cannot redial, so the routed
-            // placement surfaces as a typed error for the caller.
-            return Err(ProtocolError::Redirected {
-                client: c,
-                addr,
-                retry_after_ms,
-            });
-        }
-        other => {
-            return Err(ProtocolError::Unexpected(format!(
-                "expected Ready, got {}",
-                kind_name(&other)
-            )))
-        }
-    }
-    for _ in 0..steps {
-        let x_c = client.start_step();
-        let frame = client.encode_activations(&x_c);
-        transport.send(&ClientMessage::Activations { client: id, frame })?;
-        let x_s = match transport.recv()? {
-            ServerMessage::ServerActivations { frame, .. } => client.decode_frame(&frame)?,
-            other => {
-                return Err(ProtocolError::Unexpected(format!(
-                    "expected ServerActivations, got {}",
-                    kind_name(&other)
-                )))
-            }
-        };
-        let (_loss, g_c) = client.receive_server_activations(&x_s);
-        let frame = client.encode_gradients(&g_c);
-        transport.send(&ClientMessage::Gradients { client: id, frame })?;
-        let g_s = match transport.recv()? {
-            ServerMessage::ServerGradients { frame, .. } => client.decode_frame(&frame)?,
-            other => {
-                return Err(ProtocolError::Unexpected(format!(
-                    "expected ServerGradients, got {}",
-                    kind_name(&other)
-                )))
-            }
-        };
-        client.receive_server_gradients(&g_s);
-    }
-    transport.send(&ClientMessage::Disconnect { client: id })?;
-    Ok(client.curve().clone())
-}
-
 pub(crate) fn kind_name(msg: &ServerMessage) -> &'static str {
     match msg {
         ServerMessage::Ready { .. } => "Ready",
@@ -851,6 +699,7 @@ pub(crate) fn kind_name(msg: &ServerMessage) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::SplitClient;
     use menos_adapters::FineTuneConfig;
     use menos_data::{wiki_corpus, TokenDataset, Vocab};
     use menos_models::{CausalLm, ModelConfig};
@@ -886,38 +735,32 @@ mod tests {
     }
 
     #[test]
-    fn channel_transport_trains_through_serve_loop() {
-        let (mut client, session) = pair(1);
-        let (mut client_t, mut server_t) = channel_pair();
-        let server = std::thread::spawn(move || {
-            let mut handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
-            let r = serve_loop(&mut server_t, &mut handler);
-            (r, handler.session().is_none())
-        });
-        let curve = drive_client(&mut client, &mut client_t, 3).expect("channel training");
-        assert_eq!(curve.points().len(), 3);
-        let (served, reclaimed) = server.join().expect("server thread");
-        served.expect("clean serve");
-        assert!(reclaimed, "disconnect must release the session");
-    }
-
-    #[test]
     fn sim_transport_charges_virtual_time_for_exact_bytes() {
-        let (mut client, session) = pair(2);
         let (mut client_t, mut server_t) = sim_pair(WanLink::lan(1), WanLink::lan(2));
-        let clock = client_t.clock.clone();
-        let server = std::thread::spawn(move || {
-            let mut handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
-            serve_loop(&mut server_t, &mut handler)
-        });
-        drive_client(&mut client, &mut client_t, 2).expect("sim training");
-        server.join().expect("thread").expect("clean serve");
-        let elapsed = *clock.lock().unwrap();
-        assert!(elapsed > Nanos(0), "transfers must advance virtual time");
-        let (bytes, msgs) = client_t.link_stats();
-        // Connect + 2*(activations + gradients) + disconnect = 6 uplink messages.
-        assert_eq!(msgs, 6);
-        assert!(bytes > 0);
+        let hello = ClientMessage::Disconnect {
+            client: ClientId(0),
+        };
+        client_t.send(&hello).unwrap();
+        assert!(matches!(
+            server_t.recv(),
+            Ok(ClientMessage::Disconnect { .. })
+        ));
+        let uplink_done = client_t.elapsed();
+        assert!(
+            uplink_done > Nanos(0),
+            "transfers must advance virtual time"
+        );
+        let reply = ServerMessage::ServerActivations {
+            client: ClientId(0),
+            frame: menos_net::encode_tensor(&menos_tensor::Tensor::zeros([2, 4])),
+        };
+        server_t.send(&reply).unwrap();
+        assert!(client_t.recv().is_ok());
+        // Both endpoints advance one shared clock...
+        assert!(client_t.elapsed() > uplink_done);
+        // ...and each link is charged the frame's exact encoded size.
+        assert_eq!(client_t.link_stats(), (hello.to_wire().len() as u64, 1));
+        assert_eq!(server_t.link_stats(), (reply.to_wire().len() as u64, 1));
     }
 
     #[test]
@@ -1031,7 +874,7 @@ mod tests {
             ProtocolError::Disconnected
         ));
         assert!(matches!(
-            ProtocolError::from(Error::new(ErrorKind::Other, "o")),
+            ProtocolError::from(Error::other("o")),
             ProtocolError::Io(_)
         ));
     }

@@ -1,13 +1,14 @@
-//! Client-side fault tolerance: capped exponential backoff with
-//! deterministic jitter, and the resumable protocol driver.
+//! The client side of the protocol: the one client driver, plus
+//! capped exponential backoff with deterministic jitter.
 //!
-//! [`drive_client`](crate::drive_client) treats any transport fault as
-//! fatal. [`drive_client_resumable`] treats the retryable ones —
-//! timeouts, disconnects, I/O faults — as interruptions: it drops the
-//! dead connection, backs off per a [`RetryPolicy`], redials, and
-//! re-attaches to its quarantined server session with the v1.1
-//! `Resume` handshake (PROTOCOL.md §6). The two reconcilable positions
-//! map onto client actions directly:
+//! [`drive_client`] runs the `Connect`/`Ready` handshake and the
+//! four-step iterations. Under a [`RetryPolicy`] it treats the
+//! retryable faults — timeouts, disconnects, I/O faults — as
+//! interruptions: it drops the dead connection, backs off, redials,
+//! and re-attaches to its quarantined server session with the v1.1
+//! `Resume` handshake (PROTOCOL.md §6). [`RetryPolicy::none`] is the
+//! plain single-connection case: the first fault is returned. The two
+//! reconcilable positions map onto client actions directly:
 //!
 //! * server at the client's step — abort the in-flight step and redo
 //!   it (deterministic: batches key on the step index and the
@@ -18,13 +19,14 @@
 //! Everything else — stale epochs, expired quarantine (`Evicted`),
 //! validation rejects — is terminal and surfaces as the typed error.
 //!
-//! A v1.3 `Busy` shed (PROTOCOL.md §8) sits between those classes: it
-//! is retryable, but it is not a *fault* — the server explicitly asked
-//! the client to come back. The driver honors the server's
+//! A v1.3 `Busy` shed (PROTOCOL.md §8) and a v1.4 `Redirect`
+//! (PROTOCOL.md §9) sit between those classes: they are retryable,
+//! but they are not *faults* — the server explicitly asked the client
+//! to come back, or to dial elsewhere. The driver honors the
 //! `retry_after_ms` hint (jittered upward so a shed herd does not
 //! reconnect in lock-step, capped by [`RetryPolicy::max_backoff`])
-//! instead of the blind exponential ladder, and a shed does not
-//! consume the retry budget.
+//! instead of the blind exponential ladder, and neither consumes the
+//! retry budget — so even a [`RetryPolicy::none`] client follows them.
 
 use std::time::Duration;
 
@@ -78,8 +80,9 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries — [`drive_client_resumable`]
-    /// degrades to single-shot semantics.
+    /// A policy that never retries a fault — [`drive_client`] returns
+    /// the first one. `Busy` and `Redirect` are still followed: they
+    /// are not faults and cost no budget.
     pub fn none() -> Self {
         RetryPolicy {
             retries: 0,
@@ -133,50 +136,33 @@ impl RetryPolicy {
     }
 }
 
-/// Drives `steps` additional training steps like
-/// [`drive_client`](crate::drive_client), but survives transient
-/// transport faults: on a retryable error the connection is dropped,
-/// the policy's backoff elapses, `connect` mints a fresh transport,
-/// and the `Resume` handshake re-attaches the quarantined session.
+/// Drives `steps` additional training steps: `Connect`/`Ready`, the
+/// four-step iterations (activations out, server activations in,
+/// gradients out, server gradients in), then a clean `Disconnect`.
+/// Returns the client's loss curve.
 ///
 /// `connect` is called once per connection attempt (including the
-/// first); for TCP it is a redial, for in-memory transports a fresh
+/// first) and receives the current target: `None` for the root
+/// address the caller started with (a plain server, or a fleet
+/// coordinator), `Some(addr)` after a v1.4 `Redirect` steered the
+/// client. For TCP it is a dial; for in-memory transports a fresh
 /// dial on the server's listener queue.
+///
+/// On a retryable fault the connection is dropped, the policy's
+/// backoff elapses, and the `Resume` handshake re-attaches the
+/// quarantined session. A faulted redirected target resets the route
+/// to the root, so a dead target sends the client back to the
+/// coordinator for re-placement instead of redialing a corpse until
+/// the budget runs dry. `Busy` and `Redirect` wait at least the
+/// hinted delay (jittered, floored at [`MIN_BUSY_DELAY`]) and consume
+/// no budget.
 ///
 /// # Errors
 ///
 /// The first non-retryable [`ProtocolError`], or the last error once
 /// the retry budget is exhausted. The client's local state is
 /// consistent up to its last completed step either way.
-pub fn drive_client_resumable<T, F>(
-    client: &mut SplitClient,
-    mut connect: F,
-    steps: usize,
-    policy: &RetryPolicy,
-) -> Result<LossCurve, ProtocolError>
-where
-    T: Transport<Tx = ClientMessage, Rx = ServerMessage>,
-    F: FnMut() -> Result<T, ProtocolError>,
-{
-    drive_client_routed(client, |_route| connect(), steps, policy)
-}
-
-/// [`drive_client_resumable`] with v1.4 fleet routing (PROTOCOL.md
-/// §9): `connect` receives the current target — `None` for the root
-/// address the caller started with (a fleet coordinator, or a plain
-/// server), or `Some(addr)` after a `Redirect` steered the client.
-///
-/// Redirects are placement, not faults: chasing one waits at least the
-/// hinted delay (jittered, floored like a `Busy` hint) and consumes no
-/// retry budget. A retryable *fault* at a redirected target resets the
-/// route to the root, so a dead target sends the client back to the
-/// coordinator for re-placement instead of redialing a corpse until
-/// the budget runs dry.
-///
-/// # Errors
-///
-/// As [`drive_client_resumable`].
-pub fn drive_client_routed<T, F>(
+pub fn drive_client<T, F>(
     client: &mut SplitClient,
     mut connect: F,
     steps: usize,
@@ -345,8 +331,7 @@ where
 }
 
 /// One four-step protocol iteration — the loop body of
-/// [`drive_client`](crate::drive_client), factored so the resumable
-/// driver can restart it cleanly.
+/// [`drive_client`], factored so a reconnect can restart it cleanly.
 fn run_one_step<T>(client: &mut SplitClient, transport: &mut T) -> Result<(), ProtocolError>
 where
     T: Transport<Tx = ClientMessage, Rx = ServerMessage>,
@@ -546,12 +531,18 @@ mod tests {
     // End-to-end driver tests against a minimal resumable echo server.
     // ------------------------------------------------------------------
 
-    use std::sync::{Arc, Mutex};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, OnceLock};
+    use std::thread::JoinHandle;
 
     use bytes::Bytes;
 
     use crate::client::SplitClient;
-    use crate::protocol::{channel_pair, serve_loop, ChannelTransport, MessageHandler};
+    use crate::event_loop::{
+        event_channel_listener, BatchHandler, ChannelDialer, EventLoopOptions, EventLoopStats,
+        ServerEventLoop,
+    };
+    use crate::protocol::{channel_pair, MessageHandler};
     use crate::ClientId;
 
     /// The smallest resumable server: echoes tensor frames back (the
@@ -569,7 +560,7 @@ mod tests {
         fn handle(&mut self, msg: ClientMessage) -> Result<Option<ServerMessage>, ProtocolError> {
             if self.kill_every > 0 {
                 self.handled += 1;
-                if self.handled % self.kill_every == 0 {
+                if self.handled.is_multiple_of(self.kill_every) {
                     return Err(ProtocolError::Disconnected);
                 }
             }
@@ -617,6 +608,8 @@ mod tests {
         }
     }
 
+    impl BatchHandler for EchoHandler {}
+
     fn test_client(seed: u64) -> SplitClient {
         use menos_adapters::FineTuneConfig;
         use menos_data::{wiki_corpus, TokenDataset, Vocab};
@@ -641,17 +634,38 @@ mod tests {
         )
     }
 
-    /// Spawns a `serve_loop` pump over the shared echo handler and
-    /// returns the client endpoint.
-    fn dial_echo(
-        handler: &Arc<Mutex<EchoHandler>>,
-    ) -> ChannelTransport<ClientMessage, ServerMessage> {
-        let (client_t, mut server_t) = channel_pair();
-        let mut h = handler.clone();
-        std::thread::spawn(move || {
-            let _ = serve_loop(&mut server_t, &mut h);
-        });
-        client_t
+    /// An event loop serving one handler until stopped.
+    struct Served<H> {
+        dialer: ChannelDialer,
+        stop: Arc<AtomicBool>,
+        thread: JoinHandle<(H, EventLoopStats)>,
+    }
+
+    fn serve<H: BatchHandler + Send + 'static>(handler: H) -> Served<H> {
+        let (dialer, listener) = event_channel_listener();
+        let event_loop = ServerEventLoop::new(listener, handler, EventLoopOptions::default());
+        let stop = event_loop.shutdown_handle();
+        let thread = std::thread::spawn(move || event_loop.run());
+        Served {
+            dialer,
+            stop,
+            thread,
+        }
+    }
+
+    impl<H> Served<H> {
+        fn stop(self) -> (H, EventLoopStats) {
+            self.stop.store(true, Ordering::Relaxed);
+            self.thread.join().expect("loop thread")
+        }
+    }
+
+    fn echo(kill_every: u32) -> Served<EchoHandler> {
+        serve(EchoHandler {
+            epoch: 1,
+            kill_every,
+            handled: 0,
+        })
     }
 
     /// A `Busy` shed is not a fault: even with a zero retry budget the
@@ -665,17 +679,13 @@ mod tests {
             max_backoff: Duration::from_millis(5),
             seed: 1,
         };
-        let handler = Arc::new(Mutex::new(EchoHandler {
-            epoch: 1,
-            kill_every: 0,
-            handled: 0,
-        }));
+        let server = echo(0);
         let mut client = test_client(1);
         let mut shed_conns = Vec::new(); // keep server ends alive
         let mut dials = 0u32;
-        let curve = drive_client_resumable(
+        let curve = drive_client(
             &mut client,
-            || {
+            |_| {
                 dials += 1;
                 if dials <= 2 {
                     // Shed with a hint, twice, before admitting.
@@ -687,7 +697,7 @@ mod tests {
                     shed_conns.push(server_t);
                     Ok(client_t)
                 } else {
-                    Ok(dial_echo(&handler))
+                    server.dialer.dial()
                 }
             },
             3,
@@ -696,29 +706,26 @@ mod tests {
         .expect("busy sheds must not exhaust a zero retry budget");
         assert_eq!(curve.points().len(), 3);
         assert_eq!(dials, 3, "two sheds, then one admitted connection");
+        server.stop();
     }
 
     /// A `Redirect` is placement, not a fault: with a zero retry
-    /// budget the routed driver chases it to the named address and
-    /// completes. The plain connect path (`route == None`) plays the
-    /// coordinator; the redirected path dials the echo server.
+    /// budget the driver chases it to the named address and completes.
+    /// The root connect path (`route == None`) plays the coordinator;
+    /// the redirected path dials the echo server.
     #[test]
-    fn routed_driver_chases_redirects_without_budget() {
+    fn driver_chases_redirects_without_budget() {
         let policy = RetryPolicy {
             retries: 0,
             backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(5),
             seed: 4,
         };
-        let handler = Arc::new(Mutex::new(EchoHandler {
-            epoch: 1,
-            kill_every: 0,
-            handled: 0,
-        }));
+        let server = echo(0);
         let mut client = test_client(4);
         let mut coordinator_conns = Vec::new();
         let mut routes_seen = Vec::new();
-        let curve = drive_client_routed(
+        let curve = drive_client(
             &mut client,
             |route| {
                 routes_seen.push(route.map(str::to_owned));
@@ -736,7 +743,7 @@ mod tests {
                         coordinator_conns.push(server_t);
                         Ok(client_t)
                     }
-                    Some("worker-1") => Ok(dial_echo(&handler)),
+                    Some("worker-1") => server.dialer.dial(),
                     Some(other) => panic!("unexpected route {other}"),
                 }
             },
@@ -750,27 +757,24 @@ mod tests {
             vec![None, Some("worker-1".to_owned())],
             "root dial, then exactly one chased redirect"
         );
+        server.stop();
     }
 
     /// A retryable fault at a redirected target resets the route to
     /// the root for re-placement instead of redialing the dead target.
     #[test]
-    fn routed_driver_falls_back_to_root_when_target_dies() {
+    fn driver_falls_back_to_root_when_target_dies() {
         let policy = RetryPolicy {
             retries: 2,
             backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(5),
             seed: 5,
         };
-        let handler = Arc::new(Mutex::new(EchoHandler {
-            epoch: 1,
-            kill_every: 0,
-            handled: 0,
-        }));
+        let server = echo(0);
         let mut client = test_client(5);
         let mut coordinator_conns = Vec::new();
         let mut routes_seen = Vec::new();
-        let curve = drive_client_routed(
+        let curve = drive_client(
             &mut client,
             |route| {
                 routes_seen.push(route.map(str::to_owned));
@@ -792,7 +796,7 @@ mod tests {
                     }
                     // The first placement is a corpse: dialing it fails.
                     Some("dead-worker") => Err(ProtocolError::Disconnected),
-                    Some("live-worker") => Ok(dial_echo(&handler)),
+                    Some("live-worker") => server.dialer.dial(),
                     Some(other) => panic!("unexpected route {other}"),
                 }
             },
@@ -811,6 +815,7 @@ mod tests {
             ],
             "placed, target dead, re-placed at the root, completed"
         );
+        server.stop();
     }
 
     /// The retry budget refills on every successful handshake: with
@@ -827,18 +832,14 @@ mod tests {
         // Kill every 5th handler message: Connect, act, grad, act,
         // KILL — then per reconnect: Resume, act, grad, act, KILL —
         // one completed step per connection, two faults total.
-        let handler = Arc::new(Mutex::new(EchoHandler {
-            epoch: 1,
-            kill_every: 5,
-            handled: 0,
-        }));
+        let server = echo(5);
         let mut client = test_client(2);
         let mut dials = 0u32;
-        let curve = drive_client_resumable(
+        let curve = drive_client(
             &mut client,
-            || {
+            |_| {
                 dials += 1;
-                Ok(dial_echo(&handler))
+                server.dialer.dial()
             },
             3,
             &policy,
@@ -849,5 +850,60 @@ mod tests {
             dials >= 3,
             "expected at least two faulted reconnects, got {dials} dials"
         );
+        server.stop();
+    }
+
+    /// Answers `Connect`, then raises its own loop's shutdown flag from
+    /// inside dispatch of the first `Activations` and sends no reply:
+    /// the loop's next sweep evicts the session with
+    /// `Evicted(Shutdown)` while the client awaits that reply.
+    struct ShutdownOnActivations {
+        stop: Arc<OnceLock<Arc<AtomicBool>>>,
+    }
+
+    impl MessageHandler for ShutdownOnActivations {
+        fn handle(&mut self, msg: ClientMessage) -> Result<Option<ServerMessage>, ProtocolError> {
+            match msg {
+                ClientMessage::Connect { client, .. } => Ok(Some(ServerMessage::Ready {
+                    client,
+                    codec: menos_net::Codec::F32Raw,
+                })),
+                ClientMessage::Activations { .. } => {
+                    self.stop
+                        .get()
+                        .expect("flag installed before any dial")
+                        .store(true, Ordering::Relaxed);
+                    Ok(None)
+                }
+                _ => Ok(None),
+            }
+        }
+    }
+
+    impl BatchHandler for ShutdownOnActivations {}
+
+    /// A mid-step `Evicted(Shutdown)` parks the session for a later
+    /// `Resume` (PROTOCOL.md §6.4), so even a no-retry client reports
+    /// it as the retryable [`ProtocolError::Disconnected`] the notice
+    /// accompanies — never as an untyped "unexpected message".
+    #[test]
+    fn no_retry_client_reports_a_mid_step_shutdown_as_disconnected() {
+        let stop = Arc::new(OnceLock::new());
+        let (dialer, listener) = event_channel_listener();
+        let event_loop = ServerEventLoop::new(
+            listener,
+            ShutdownOnActivations { stop: stop.clone() },
+            EventLoopOptions::default(),
+        );
+        stop.set(event_loop.shutdown_handle())
+            .expect("flag installed once");
+        let thread = std::thread::spawn(move || event_loop.run());
+        let mut client = test_client(6);
+        let err = drive_client(&mut client, |_| dialer.dial(), 2, &RetryPolicy::none())
+            .expect_err("the server shut down mid-step");
+        assert!(matches!(err, ProtocolError::Disconnected), "{err}");
+        assert_eq!(client.steps_completed(), 0);
+        let (_handler, stats) = thread.join().expect("loop thread");
+        assert_eq!(stats.accepted, 1);
     }
 }

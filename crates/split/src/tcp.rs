@@ -1,22 +1,22 @@
 //! TCP framing for the split fine-tuning protocol.
 //!
-//! This module contains **no protocol logic**: it is a
-//! [`Transport`] implementation over `std::net::TcpStream` plus an
-//! accept loop. Message bytes come from the unified codec
-//! ([`crate::codec`]), the client loop is [`drive_client`], and the
-//! server loop is [`serve_loop`] feeding a shared
-//! [`MessageHandler`] — the same state machine every other transport
-//! drives.
+//! This module contains **no protocol logic**. The client side is a
+//! blocking [`Transport`] over `std::net::TcpStream`, driven by
+//! [`drive_client`] ([`run_tcp_client`] is the shorthand). The server
+//! side is a nonblocking connection and listener for the
+//! [`ServerEventLoop`], wrapped up as [`TcpEventServer`]. Message bytes
+//! come from the unified codec ([`crate::codec`]) — the same state
+//! machine every other transport drives.
 //!
 //! Robustness: each frame header is validated (version, magic,
 //! declared length vs a configurable cap) before any payload
-//! allocation, connections carry read/write deadlines, and a failing
-//! connection reclaims its session via `serve_loop`'s
-//! disconnect-reclamation — other clients keep training.
+//! allocation, client connections carry read/write deadlines, and a
+//! failing server connection hands its session to the handler's
+//! lost-connection path — other clients keep training.
 
 use std::marker::PhantomData;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -29,9 +29,8 @@ use crate::event_loop::{
     SnapshotPolicy,
 };
 use crate::message::{ClientMessage, ServerMessage};
-use crate::protocol::{
-    drive_client, serve_loop, MessageHandler, ProtocolError, Transport, WireMessage,
-};
+use crate::protocol::{ProtocolError, Transport, WireMessage};
+use crate::retry::{drive_client, RetryPolicy};
 
 /// Tuning knobs for TCP endpoints.
 #[derive(Debug, Clone, Copy)]
@@ -123,123 +122,6 @@ impl<Tx: WireMessage, Rx: WireMessage> Transport for TcpTransport<Tx, Rx> {
         self.stream.set_read_timeout(deadline)?;
         self.stream.set_write_timeout(deadline)?;
         Ok(())
-    }
-}
-
-/// A TCP accept loop serving the split protocol: each connection gets
-/// its own thread running [`serve_loop`] against a shared
-/// [`MessageHandler`] (typically `menos-core`'s `MenosServer`), so
-/// admission control and error isolation apply identically over
-/// sockets and in-memory transports.
-pub struct TcpSplitServer {
-    addr: std::net::SocketAddr,
-    handle: Option<JoinHandle<()>>,
-    shutdown: Arc<std::sync::atomic::AtomicBool>,
-}
-
-impl TcpSplitServer {
-    /// Binds to `addr` (use port 0 for an ephemeral port) and starts
-    /// accepting with default [`TcpOptions`]. `max_clients`
-    /// connections are served before the accept loop exits (keeps
-    /// tests and demos bounded).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the address cannot be bound.
-    pub fn spawn<H>(
-        addr: impl ToSocketAddrs,
-        handler: Arc<Mutex<H>>,
-        max_clients: usize,
-    ) -> Result<TcpSplitServer, ProtocolError>
-    where
-        H: MessageHandler + Send + 'static,
-    {
-        Self::spawn_with(addr, handler, max_clients, TcpOptions::default())
-    }
-
-    /// [`TcpSplitServer::spawn`] with explicit frame-cap and deadline
-    /// options applied to every connection.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the address cannot be bound.
-    pub fn spawn_with<H>(
-        addr: impl ToSocketAddrs,
-        handler: Arc<Mutex<H>>,
-        max_clients: usize,
-        options: TcpOptions,
-    ) -> Result<TcpSplitServer, ProtocolError>
-    where
-        H: MessageHandler + Send + 'static,
-    {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let shutdown2 = shutdown.clone();
-        let handle = std::thread::spawn(move || {
-            let mut workers = Vec::new();
-            for _ in 0..max_clients {
-                if shutdown2.load(std::sync::atomic::Ordering::Relaxed) {
-                    break;
-                }
-                let Ok((stream, _)) = listener.accept() else {
-                    break;
-                };
-                let mut handler = handler.clone();
-                workers.push(std::thread::spawn(move || {
-                    let mut transport =
-                        match TcpTransport::<ServerMessage, ClientMessage>::from_stream(
-                            stream, options,
-                        ) {
-                            Ok(t) => t,
-                            Err(e) => {
-                                eprintln!("connection setup failed: {e}");
-                                return;
-                            }
-                        };
-                    if let Err(e) = serve_loop(&mut transport, &mut handler) {
-                        // A peer that hangs up without a `Disconnect`
-                        // is an ordinary connection end — redirected
-                        // fleet clients do it by design — not
-                        // operator-actionable noise. `connection_lost`
-                        // has already reclaimed the session.
-                        if !matches!(e, ProtocolError::Disconnected) {
-                            eprintln!("connection ended with error: {e}");
-                        }
-                    }
-                }));
-            }
-            for w in workers {
-                let _ = w.join();
-            }
-        });
-        Ok(TcpSplitServer {
-            addr: local,
-            handle: Some(handle),
-            shutdown,
-        })
-    }
-
-    /// The bound address (useful with ephemeral ports).
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Waits for the accept loop (all `max_clients` served) to finish.
-    pub fn join(mut self) {
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for TcpSplitServer {
-    fn drop(&mut self) {
-        self.shutdown
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        // The accept loop exits after the in-flight clients; tests call
-        // join() explicitly, so dropping without join leaks at most a
-        // blocked accept until process exit.
     }
 }
 
@@ -372,10 +254,10 @@ impl EventListener for TcpEventListener {
     }
 }
 
-/// The event-driven counterpart of [`TcpSplitServer`]: ONE thread
-/// runs a [`ServerEventLoop`] over a nonblocking listener, serving
-/// every client and batching their ready messages into single server
-/// steps. The handler needs no `Arc<Mutex<_>>` — the loop owns it.
+/// The TCP server: ONE thread runs a [`ServerEventLoop`] over a
+/// nonblocking listener, serving every client and batching their ready
+/// messages into single server steps. The handler needs no
+/// `Arc<Mutex<_>>` — the loop owns it.
 pub struct TcpEventServer<H> {
     addr: std::net::SocketAddr,
     handle: Option<JoinHandle<(H, EventLoopStats)>>,
@@ -453,6 +335,16 @@ where
     pub fn join(mut self) -> Option<(H, EventLoopStats)> {
         self.handle.take().and_then(|h| h.join().ok())
     }
+
+    /// Stops the loop at its next sweep and waits for it: every live
+    /// session gets a best-effort `Evicted(Shutdown)` notice and goes
+    /// through the handler's lost-connection path. The listener is
+    /// closed by the time this returns, so new dials are refused.
+    pub fn shutdown(self) -> Option<(H, EventLoopStats)> {
+        self.shutdown
+            .store(true, std::sync::atomic::Ordering::Relaxed);
+        self.join()
+    }
 }
 
 impl<H> Drop for TcpEventServer<H> {
@@ -463,62 +355,31 @@ impl<H> Drop for TcpEventServer<H> {
 }
 
 /// Runs `steps` split fine-tuning iterations against a TCP server,
-/// returning the loss curve. Thin shorthand for
-/// [`TcpTransport::connect`] + [`drive_client`].
+/// returning the loss curve: [`drive_client`] dialing `addr` with
+/// [`TcpTransport::connect`]. `addr` may be a plain server or a fleet
+/// coordinator — a v1.4 `Redirect` (PROTOCOL.md §9) is chased to the
+/// named backend, and a fault there walks the client back to `addr`
+/// for re-placement. `policy` decides how many faults are survived
+/// through the `Resume` handshake; [`RetryPolicy::none`] gives up on
+/// the first.
 ///
 /// # Errors
 ///
-/// Fails on socket or protocol errors; the client's local state is
+/// The first non-retryable [`ProtocolError`], or the last error once
+/// `policy`'s retry budget is exhausted; the client's local state is
 /// consistent up to the last completed step.
 pub fn run_tcp_client(
     addr: impl ToSocketAddrs,
     client: &mut SplitClient,
     steps: usize,
+    policy: &RetryPolicy,
 ) -> Result<LossCurve, ProtocolError> {
-    let mut transport = TcpTransport::connect(addr)?;
-    drive_client(client, &mut transport, steps)
-}
-
-/// Fault-tolerant [`run_tcp_client`]: survives transient socket faults
-/// by redialing under `policy`'s capped backoff and re-attaching to
-/// the quarantined server session with the `Resume` handshake
-/// (PROTOCOL.md §6) — the loss curve of a faulted-and-resumed run is
-/// bit-identical to an uninterrupted one.
-///
-/// # Errors
-///
-/// The first non-retryable [`ProtocolError`], or the last error once
-/// `policy`'s retry budget is exhausted.
-pub fn run_tcp_client_resumable(
-    addr: impl ToSocketAddrs,
-    client: &mut SplitClient,
-    steps: usize,
-    policy: &crate::retry::RetryPolicy,
-) -> Result<LossCurve, ProtocolError> {
-    crate::retry::drive_client_resumable(client, || TcpTransport::connect(&addr), steps, policy)
-}
-
-/// Fleet-aware [`run_tcp_client_resumable`] (PROTOCOL.md §9):
-/// `coordinator` is dialed first and whenever the current route dies;
-/// v1.4 `Redirect` replies steer the dial at the placed backend
-/// without spending retry budget. A backend death mid-run therefore
-/// walks the client back to the coordinator, which answers `Busy`
-/// until migration completes and then redirects to the session's new
-/// home, where the ordinary `Resume` reconciliation finishes the job.
-///
-/// # Errors
-///
-/// The first non-retryable [`ProtocolError`], or the last error once
-/// `policy`'s retry budget is exhausted.
-pub fn run_tcp_client_fleet(
-    coordinator: &str,
-    client: &mut SplitClient,
-    steps: usize,
-    policy: &crate::retry::RetryPolicy,
-) -> Result<LossCurve, ProtocolError> {
-    crate::retry::drive_client_routed(
+    drive_client(
         client,
-        |route| TcpTransport::connect(route.unwrap_or(coordinator)),
+        |route| match route {
+            Some(route) => TcpTransport::connect(route),
+            None => TcpTransport::connect(&addr),
+        },
         steps,
         policy,
     )
@@ -566,41 +427,48 @@ mod tests {
         (client, session)
     }
 
+    fn serve_one<H: BatchHandler + Send + 'static>(
+        handler: H,
+        tcp: TcpOptions,
+    ) -> TcpEventServer<H> {
+        let options = EventLoopOptions {
+            accept_limit: 1,
+            ..EventLoopOptions::default()
+        };
+        TcpEventServer::spawn("127.0.0.1:0", handler, options, tcp).expect("bind")
+    }
+
     #[test]
     fn client_trains_over_a_real_socket() {
         let (mut client, session) = pair(500);
-        let handler = Arc::new(Mutex::new(SessionHandler::new(
-            session,
-            ForwardMode::NoGradReforward,
-        )));
-        let server = TcpSplitServer::spawn("127.0.0.1:0", handler.clone(), 1).expect("bind");
-        let curve = run_tcp_client(server.addr(), &mut client, 4).expect("tcp training");
+        let handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
+        let server = serve_one(handler, TcpOptions::default());
+        let curve = run_tcp_client(server.addr(), &mut client, 4, &RetryPolicy::none())
+            .expect("tcp training");
         assert_eq!(curve.points().len(), 4);
         assert!(
             curve.final_loss().unwrap() < curve.points()[0].1 + 0.05,
             "{:?}",
             curve.points()
         );
-        server.join();
+        let (handler, stats) = server.join().expect("loop finished");
         // Clean disconnect released the session.
-        assert!(handler.lock().unwrap().session().is_none());
+        assert!(handler.session().is_none());
+        assert_eq!(stats.served, 1);
     }
 
     #[test]
     fn hostile_length_prefix_cannot_oom_the_server() {
         use std::io::{Read, Write};
         let (_client, session) = pair(501);
-        let handler = Arc::new(Mutex::new(SessionHandler::new(
-            session,
-            ForwardMode::NoGradReforward,
-        )));
+        let handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
         // Tight cap so the test proves the check, not the allocator.
         let options = TcpOptions {
             max_frame: 1 << 20,
             io_timeout: Some(Duration::from_secs(5)),
             max_staged: None,
         };
-        let server = TcpSplitServer::spawn_with("127.0.0.1:0", handler, 1, options).expect("bind");
+        let server = serve_one(handler, options);
         let mut socket = TcpStream::connect(server.addr()).expect("connect");
         // A header declaring a 4 GiB payload. The server must reject it
         // from the header alone and close the connection — never
@@ -612,13 +480,12 @@ mod tests {
         // Read returns 0 (EOF) once the server drops the connection.
         let n = socket.read(&mut buf).expect("read");
         assert_eq!(n, 0, "server must close on oversize declaration");
-        server.join();
+        let (_handler, stats) = server.join().expect("loop finished");
+        assert_eq!(stats.conn_errors, 1);
     }
 
     #[test]
-    fn fleet_client_trains_through_a_redirecting_coordinator() {
-        use crate::retry::RetryPolicy;
-
+    fn client_trains_through_a_redirecting_coordinator() {
         /// A one-backend coordinator shim: control messages get a
         /// v1.4 `Redirect` at the real server, nothing else is legal.
         struct RedirectHandler {
@@ -646,34 +513,27 @@ mod tests {
             fn connection_lost(&mut self, _client: ClientId) {}
         }
 
-        let (mut client, session) = pair(502);
-        let backend_handler = Arc::new(Mutex::new(SessionHandler::new(
-            session,
-            ForwardMode::NoGradReforward,
-        )));
-        let backend =
-            TcpSplitServer::spawn("127.0.0.1:0", backend_handler.clone(), 1).expect("bind backend");
-        let coordinator = TcpSplitServer::spawn(
-            "127.0.0.1:0",
-            Arc::new(Mutex::new(RedirectHandler {
-                target: backend.addr().to_string(),
-            })),
-            1,
-        )
-        .expect("bind coordinator");
+        impl BatchHandler for RedirectHandler {}
 
-        let policy = RetryPolicy {
-            retries: 2,
-            backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(10),
-            seed: 0,
-        };
-        let curve = run_tcp_client_fleet(&coordinator.addr().to_string(), &mut client, 4, &policy)
-            .expect("fleet client trains through the redirect");
+        let (mut client, session) = pair(502);
+        let backend = serve_one(
+            SessionHandler::new(session, ForwardMode::NoGradReforward),
+            TcpOptions::default(),
+        );
+        let coordinator = serve_one(
+            RedirectHandler {
+                target: backend.addr().to_string(),
+            },
+            TcpOptions::default(),
+        );
+
+        // No retry budget: a redirect is placement, not a fault.
+        let curve = run_tcp_client(coordinator.addr(), &mut client, 4, &RetryPolicy::none())
+            .expect("client trains through the redirect");
         assert_eq!(curve.points().len(), 4);
-        backend.join();
-        coordinator.join();
-        assert!(backend_handler.lock().unwrap().session().is_none());
+        let (backend_handler, _) = backend.join().expect("backend finished");
+        coordinator.join().expect("coordinator finished");
+        assert!(backend_handler.session().is_none());
     }
 
     #[test]

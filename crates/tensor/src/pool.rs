@@ -269,7 +269,7 @@ mod tests {
     #[test]
     fn recycled_buffer_is_reused_and_empty() {
         let mut v = take_f32(2048);
-        v.extend(std::iter::repeat(7.5f32).take(2048));
+        v.extend(std::iter::repeat_n(7.5f32, 2048));
         let cap = v.capacity();
         recycle_f32(v);
         let v2 = take_f32(2048);
@@ -282,7 +282,7 @@ mod tests {
     #[test]
     fn zeroed_take_is_all_zero_after_recycle() {
         let mut v = take_f32(4096);
-        v.extend(std::iter::repeat(f32::NAN).take(4096));
+        v.extend(std::iter::repeat_n(f32::NAN, 4096));
         recycle_f32(v);
         let z = take_zeroed_f32(4096);
         assert_eq!(z.len(), 4096);

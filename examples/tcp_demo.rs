@@ -1,11 +1,11 @@
 //! Deployment demo: split fine-tuning over **real TCP sockets** —
-//! the full Menos server façade behind an accept loop, three clients
-//! connecting over loopback, each training against the shared base
-//! model.
+//! the full Menos server façade behind the event-loop TCP server,
+//! three clients connecting over loopback, each training against the
+//! shared base model.
 //!
 //! The same protocol runs geo-distributed in the paper; here the wire
 //! is localhost, but every byte crosses an actual socket through the
-//! unified frame codec, and the accept loop pumps the same
+//! unified frame codec, and the event loop pumps the same
 //! `MenosServer` state machine the in-memory transports drive.
 //!
 //! ```bash
@@ -19,7 +19,10 @@ use menos::core::{MenosServer, ServerMode, ServerSpec};
 use menos::data::{wiki_corpus, TokenDataset, Vocab};
 use menos::models::{CausalLm, ModelConfig};
 use menos::sim::seeded_rng;
-use menos::split::{run_tcp_client, ClientId, SplitClient, SplitSpec, TcpSplitServer};
+use menos::split::{
+    run_tcp_client, ClientId, EventLoopOptions, RetryPolicy, SplitClient, SplitSpec,
+    TcpEventServer, TcpOptions,
+};
 
 fn main() {
     let text = wiki_corpus(77, 20_000);
@@ -37,9 +40,12 @@ fn main() {
         ServerSpec::v100(ServerMode::menos()),
         9000,
     );
-    let handler = Arc::new(Mutex::new(menos_server));
-    let server =
-        TcpSplitServer::spawn("127.0.0.1:0", handler.clone(), CLIENTS).expect("bind server");
+    let options = EventLoopOptions {
+        accept_limit: CLIENTS,
+        ..EventLoopOptions::default()
+    };
+    let server = TcpEventServer::spawn("127.0.0.1:0", menos_server, options, TcpOptions::default())
+        .expect("bind server");
     let addr = server.addr();
     println!("Menos TCP server listening on {addr} (Menos policy: no-grad + re-forward)\n");
 
@@ -63,7 +69,8 @@ fn main() {
                 ds,
                 k,
             );
-            let curve = run_tcp_client(addr, &mut client, 12).expect("training over TCP");
+            let curve = run_tcp_client(addr, &mut client, 12, &RetryPolicy::none())
+                .expect("training over TCP");
             (k, curve)
         }));
     }
@@ -77,8 +84,8 @@ fn main() {
             curve.points().len()
         );
     }
-    server.join();
-    let sessions_left = handler.lock().unwrap().active_clients();
+    let (menos_server, _) = server.join().expect("server loop");
+    let sessions_left = menos_server.active_clients();
     println!("\nsessions still held after disconnects: {sessions_left} (memory reclaimed)");
     println!("tcp demo OK — the protocol is transport-agnostic: the paper-scale");
     println!("experiments swap this socket for the simulated geo-distributed WAN.");

@@ -14,7 +14,6 @@
 //! sections of the pretrained model" (the server never sees client
 //! data; the client never runs the server blocks).
 
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use menos::adapters::FineTuneConfig;
@@ -24,9 +23,8 @@ use menos::fleet::{BackendSpec, FleetCoordinator, FleetOptions, PlacementPolicy}
 use menos::models::{CausalLm, ModelConfig};
 use menos::sim::seeded_rng;
 use menos::split::{
-    run_tcp_client, run_tcp_client_fleet, run_tcp_client_resumable, ClientId, EventLoopOptions,
-    ForwardMode, RetryPolicy, SnapshotPolicy, SplitClient, SplitSpec, TcpEventServer, TcpOptions,
-    TcpSplitServer,
+    run_tcp_client, ClientId, EventLoopOptions, ForwardMode, RetryPolicy, SnapshotPolicy,
+    SplitClient, SplitSpec, TcpEventServer, TcpOptions,
 };
 
 const USAGE: &str = "\
@@ -35,7 +33,7 @@ usage:
                [--model-seed S] [--client-timeout MS] [--max-session-idle MS]
                [--max-write-buffer BYTES] [--pressure-watermark PCT]
                [--retry-after-ms MS] [--snapshot-dir DIR] [--snapshot-every N]
-               [--micro-model] [--cached] [--blocking] [--threads T]
+               [--micro-model] [--cached] [--threads T]
   menos client --addr HOST:PORT [--steps N] [--seed S] [--model-seed S]
                [--retries R] [--backoff-ms MS] [--codec C] [--micro-model]
                [--fleet] [--threads T]
@@ -51,35 +49,32 @@ options:
                     budget, not a concurrency cap — that is --capacity
   --capacity N      live-session admission cap: a Connect/Resume past it is
                     shed with a Busy retry hint instead of queued (default:
-                    unlimited; event-loop server only, PROTOCOL.md §8)
+                    unlimited; PROTOCOL.md §8)
   --retry-after-ms MS
                     the reconnect hint carried by capacity sheds (default 100)
   --max-write-buffer BYTES
                     evict a consumer stalled with more than BYTES of queued
                     replies; its session is quarantined for resumption
-                    (default: unbounded; event-loop server only)
+                    (default: unbounded)
   --pressure-watermark PCT
                     GPU-pool utilization percentage past which the server
                     degrades: stacked batches shrink and accepts are deferred
                     until the pool drains (default 100 = never)
   --batch-window W  max ready clients fused into one stacked server step
-                    (default 32; event-loop server only)
+                    (default 32)
   --model-seed S    base-model derivation seed shared by both sides (default 21)
   --client-timeout MS
                     evict a connection silent for MS milliseconds; its session
-                    is quarantined for resumption (default: never; event-loop
-                    server only)
+                    is quarantined for resumption (default: never)
   --max-session-idle MS
                     drop a quarantined (disconnected but resumable) session
-                    after MS milliseconds (default: never; event-loop server
-                    only)
+                    after MS milliseconds (default: never)
   --snapshot-dir DIR
                     persist the server's durable state (sessions, adapters,
                     optimizer moments, cached replies) to DIR/server.snap with
                     atomic tmp-file+rename writes, and restore from it on
                     start if it exists; clients re-attach through the Resume
-                    handshake with zero training divergence (event-loop
-                    server only)
+                    handshake with zero training divergence
   --snapshot-every N
                     snapshot cadence in dispatches; 0 (the default) is durable
                     mode — a snapshot lands before every reply is released,
@@ -89,9 +84,6 @@ options:
                     must pass it
   --cached          serve with the vanilla cached-forward path instead of
                     Menos' no-grad + re-forward policy
-  --blocking        thread-per-client blocking server instead of the
-                    single-thread event loop (reference pump; same bytes,
-                    bit-identical training)
   --addr A          server address to connect to
   --steps N         fine-tuning iterations to run (default 10)
   --seed S          client data/adapter seed (default 0)
@@ -103,9 +95,10 @@ options:
                     advertised, so raw peers interoperate unchanged)
   --backoff-ms MS   base reconnect backoff, doubled per consecutive failure
                     with +/-50% jitter (default 50)
-  --fleet           treat --addr as a fleet coordinator: dial it first and
-                    chase the Redirect to a backend (PROTOCOL.md §9);
-                    implies the resumable driver, so --retries applies
+  --fleet           --addr is a fleet coordinator (PROTOCOL.md §9): retry
+                    at least once per fault, so a backend death walks the
+                    client back for re-placement (every client chases a
+                    Redirect; this only raises --retries to at least 1)
   --servers N       fleet: backend server processes to spawn (default 2)
   --policy P        fleet: session placement — round-robin | memory-aware
                     (default round-robin)
@@ -206,7 +199,6 @@ fn run_server(args: &[String]) {
     } else {
         ForwardMode::NoGradReforward
     };
-    let blocking = args.iter().any(|a| a == "--blocking");
     let micro = args.iter().any(|a| a == "--micro-model");
     let client_timeout = parse_flag(args, "--client-timeout")
         .map(|v| Duration::from_millis(v.parse().expect("--client-timeout must be milliseconds")));
@@ -217,14 +209,6 @@ fn run_server(args: &[String]) {
     let snapshot_every: u64 = parse_flag(args, "--snapshot-every")
         .map(|v| v.parse().expect("--snapshot-every must be a number"))
         .unwrap_or(0);
-    if snapshot_dir.is_some() && blocking {
-        eprintln!("--snapshot-dir needs the event-loop server; drop --blocking");
-        std::process::exit(2);
-    }
-    if blocking && (capacity != usize::MAX || max_write_buffer.is_some()) {
-        eprintln!("--capacity / --max-write-buffer need the event-loop server; drop --blocking");
-        std::process::exit(2);
-    }
 
     let (_, config) = shared_model(model_seed, micro);
     println!(
@@ -254,58 +238,48 @@ fn run_server(args: &[String]) {
             println!("restored {restored} session(s) from snapshot in {dir}");
         }
     }
-    let handler = Arc::new(Mutex::new(menos_server));
     let policy = match mode {
         ForwardMode::Cached => "cached forward (vanilla)",
         ForwardMode::NoGradReforward => "no-grad + re-forward (Menos)",
     };
-    if blocking {
-        let server =
-            TcpSplitServer::spawn(("0.0.0.0", port), handler, clients).expect("bind server port");
+    let options = EventLoopOptions {
+        accept_limit: clients,
+        capacity,
+        busy_retry_after: Duration::from_millis(retry_after_ms),
+        max_write_buffer,
+        batch_window,
+        io_timeout: client_timeout,
+        max_session_idle,
+        ..EventLoopOptions::default()
+    };
+    let server = match &snapshot_dir {
+        Some(dir) => TcpEventServer::spawn_with_snapshots(
+            ("0.0.0.0", port),
+            menos_server,
+            options,
+            TcpOptions::default(),
+            SnapshotPolicy::periodic(dir, snapshot_every),
+        ),
+        None => TcpEventServer::spawn(
+            ("0.0.0.0", port),
+            menos_server,
+            options,
+            TcpOptions::default(),
+        ),
+    }
+    .expect("bind server port");
+    println!(
+        "menos event-loop server on {} serving up to {clients} client(s), batch window \
+         {batch_window}, {} tensor thread(s), policy: {policy}",
+        server.addr(),
+        menos::tensor::threads(),
+    );
+    if let Some((_, stats)) = server.join() {
         println!(
-            "menos blocking server on {} serving {clients} client(s) with {} tensor thread(s), \
-             policy: {policy}",
-            server.addr(),
-            menos::tensor::threads(),
+            "served {} session(s): {} batched messages in {} server steps (largest fused \
+             batch: {})",
+            stats.served, stats.batched_messages, stats.batches, stats.max_batch
         );
-        server.join();
-    } else {
-        let options = EventLoopOptions {
-            accept_limit: clients,
-            capacity,
-            busy_retry_after: Duration::from_millis(retry_after_ms),
-            max_write_buffer,
-            batch_window,
-            io_timeout: client_timeout,
-            max_session_idle,
-            ..EventLoopOptions::default()
-        };
-        let server = match &snapshot_dir {
-            Some(dir) => TcpEventServer::spawn_with_snapshots(
-                ("0.0.0.0", port),
-                handler,
-                options,
-                TcpOptions::default(),
-                SnapshotPolicy::periodic(dir, snapshot_every),
-            ),
-            None => {
-                TcpEventServer::spawn(("0.0.0.0", port), handler, options, TcpOptions::default())
-            }
-        }
-        .expect("bind server port");
-        println!(
-            "menos event-loop server on {} serving up to {clients} client(s), batch window \
-             {batch_window}, {} tensor thread(s), policy: {policy}",
-            server.addr(),
-            menos::tensor::threads(),
-        );
-        if let Some((_, stats)) = server.join() {
-            println!(
-                "served {} session(s): {} batched messages in {} server steps (largest fused \
-                 batch: {})",
-                stats.served, stats.batched_messages, stats.batches, stats.max_batch
-            );
-        }
     }
     println!("all clients served; bye");
 }
@@ -369,29 +343,17 @@ fn run_client(args: &[String]) {
     }
 
     println!("connecting to {addr} for {steps} split fine-tuning steps ({codec} advertised)...");
+    // A fleet coordinator answers Connect with a Redirect, which every
+    // client chases for free; `--fleet` additionally guarantees a retry,
+    // so a backend death mid-run walks the client back for re-placement.
     let fleet = args.iter().any(|a| a == "--fleet");
-    let result = if fleet {
-        // The coordinator answers Connect with a Redirect; the routed
-        // driver chases it (free of retry budget) and walks back to the
-        // coordinator for re-placement if the backend dies mid-run.
-        let policy = RetryPolicy {
-            retries: retries.max(1),
-            backoff: Duration::from_millis(backoff_ms),
-            seed,
-            ..RetryPolicy::default()
-        };
-        run_tcp_client_fleet(addr.as_str(), &mut client, steps, &policy)
-    } else if retries > 0 {
-        let policy = RetryPolicy {
-            retries,
-            backoff: Duration::from_millis(backoff_ms),
-            seed,
-            ..RetryPolicy::default()
-        };
-        run_tcp_client_resumable(addr.as_str(), &mut client, steps, &policy)
-    } else {
-        run_tcp_client(addr.as_str(), &mut client, steps)
+    let policy = RetryPolicy {
+        retries: if fleet { retries.max(1) } else { retries },
+        backoff: Duration::from_millis(backoff_ms),
+        seed,
+        ..RetryPolicy::default()
     };
+    let result = run_tcp_client(addr.as_str(), &mut client, steps, &policy);
     let curve = result.unwrap_or_else(|e| {
         eprintln!("training failed: {e}");
         std::process::exit(1);

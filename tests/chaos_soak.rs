@@ -18,9 +18,9 @@ use menos::data::{wiki_corpus, LossCurve, TokenDataset, Vocab};
 use menos::models::{CausalLm, ModelConfig};
 use menos::sim::seeded_rng;
 use menos::split::{
-    drive_client, drive_client_resumable, event_channel_listener, ChannelDialer, ChaosListener,
-    ChaosOptions, ClientId, ClientMessage, EventLoopOptions, EventLoopStats, MessageHandler,
-    RetryPolicy, ServerEventLoop, ServerMessage, SplitClient, SplitSpec, Transport,
+    drive_client, event_channel_listener, ChannelDialer, ChaosListener, ChaosOptions, ClientId,
+    ClientMessage, EventLoopOptions, EventLoopStats, MessageHandler, RetryPolicy, ServerEventLoop,
+    ServerMessage, SplitClient, SplitSpec, Transport,
 };
 
 /// Soak scale: 32 clients × 40 steps, the acceptance numbers.
@@ -125,8 +125,8 @@ fn reference_fleet(
     );
     let loop_thread = std::thread::spawn(move || event_loop.run());
     let results = run_drivers(dialer, text, config, base, |client, dialer| {
-        let mut transport = dialer.dial().expect("dial");
-        drive_client(client, &mut transport, STEPS).expect("fault-free fleet")
+        drive_client(client, |_| dialer.dial(), STEPS, &RetryPolicy::none())
+            .expect("fault-free fleet")
     });
     loop_thread.join().expect("loop thread");
     assert_eq!(handler.lock().unwrap().active_clients(), 0);
@@ -201,9 +201,9 @@ fn chaos_soak_is_bit_identical_to_a_fault_free_run() {
             max_backoff: Duration::from_millis(20),
             seed: client.id().0,
         };
-        drive_client_resumable(
+        drive_client(
             client,
-            || {
+            |_| {
                 // The transport deadline is the client half of
                 // partition detection: a blackholed reply must surface
                 // as a retryable Timeout, never block forever.
@@ -389,9 +389,9 @@ mod kill_the_server {
                         max_backoff: Duration::from_millis(200),
                         seed: client.id().0,
                     };
-                    let curve = drive_client_resumable(
+                    let curve = drive_client(
                         &mut client,
-                        || TcpTransport::connect(*addr.read().unwrap()),
+                        |_| TcpTransport::connect(*addr.read().unwrap()),
                         KILL_STEPS,
                         &policy,
                     )
@@ -532,9 +532,9 @@ mod fault_matrix {
                     max_backoff: Duration::from_millis(20),
                     seed: client.id().0,
                 };
-                let curve = drive_client_resumable(
+                let curve = drive_client(
                     &mut client,
-                    || {
+                    |_| {
                         let mut t = dialer.dial()?;
                         t.set_deadline(deadline)?;
                         Ok(t)
@@ -686,9 +686,7 @@ mod fault_matrix {
         .with_snapshots(SnapshotPolicy::durable(&dir));
         let loop_thread = std::thread::spawn(move || event_loop.run().1);
         let mut client = make_client(0, &text, &config, &base);
-        let mut transport = dialer.dial().expect("dial");
-        drive_client(&mut client, &mut transport, 2).expect("healthy run");
-        drop(transport);
+        drive_client(&mut client, |_| dialer.dial(), 2, &RetryPolicy::none()).expect("healthy run");
         let stats = loop_thread.join().expect("loop thread");
         assert!(stats.snapshots > 0, "{stats:?}");
         assert_eq!(stats.snapshot_errors, 0, "{stats:?}");
@@ -709,10 +707,9 @@ mod fault_matrix {
         .with_snapshots(SnapshotPolicy::durable(&dir));
         let loop_thread = std::thread::spawn(move || event_loop.run().1);
         let mut client = make_client(0, &text, &config, &base);
-        let mut transport = dialer.dial().expect("dial");
-        let curve = drive_client(&mut client, &mut transport, 4).expect("training survives ENOSPC");
+        let curve = drive_client(&mut client, |_| dialer.dial(), 4, &RetryPolicy::none())
+            .expect("training survives ENOSPC");
         assert_eq!(curve.points().len(), 4);
-        drop(transport);
         let stats = loop_thread.join().expect("loop thread");
         assert_eq!(stats.snapshots, 0, "no write can succeed: {stats:?}");
         assert!(
@@ -896,8 +893,8 @@ fn silent_clients_are_evicted_and_expired_resumes_get_a_terminal_notice() {
     // A fresh Connect (epoch reset by a new client instance) still
     // works — expiry never wedges an id — and the retry driver
     // finishes a short run despite the hostile timeouts.
-    let curve = drive_client_resumable(&mut client, || dialer.dial(), 2, &policy)
-        .expect("fresh run after expiry");
+    let curve =
+        drive_client(&mut client, |_| dialer.dial(), 2, &policy).expect("fresh run after expiry");
     assert_eq!(curve.points().len(), 2);
 
     shutdown.store(true, std::sync::atomic::Ordering::Relaxed);

@@ -16,8 +16,9 @@ use menos::net::{
     supported_codec_mask, Codec, TensorCodec, WireError, ROLE_ACTIVATIONS, ROLE_GRADIENTS,
 };
 use menos::split::{
-    channel_pair, drive_client, run_split_steps, serve_loop, ClientId, ClientMessage, ForwardMode,
-    ServerMessage, ServerSession, SplitClient, SplitSpec,
+    drive_client, event_channel_listener, run_split_steps, ClientId, ClientMessage,
+    EventLoopOptions, ForwardMode, RetryPolicy, ServerEventLoop, ServerMessage, ServerSession,
+    SplitClient, SplitSpec,
 };
 use menos::tensor::Tensor;
 
@@ -77,13 +78,19 @@ fn train_over_channel(
     handler: Arc<Mutex<MenosServer>>,
     steps: usize,
 ) -> LossCurve {
-    let (mut client_t, mut server_t) = channel_pair();
-    let server = std::thread::spawn(move || {
-        let mut handler = handler;
-        serve_loop(&mut server_t, &mut handler)
-    });
-    let curve = drive_client(client, &mut client_t, steps).expect("channel training");
-    server.join().expect("server thread").expect("clean serve");
+    let (dialer, listener) = event_channel_listener();
+    let event_loop = ServerEventLoop::new(
+        listener,
+        handler,
+        EventLoopOptions {
+            accept_limit: 1,
+            ..EventLoopOptions::default()
+        },
+    );
+    let server = std::thread::spawn(move || event_loop.run());
+    let curve = drive_client(client, |_| dialer.dial(), steps, &RetryPolicy::none())
+        .expect("channel training");
+    server.join().expect("server thread");
     curve
 }
 

@@ -22,8 +22,8 @@ use menos::data::{wiki_corpus, LossCurve, TokenDataset, Vocab};
 use menos::models::{CausalLm, ModelConfig};
 use menos::sim::seeded_rng;
 use menos::split::{
-    drive_client_resumable, event_channel_listener, ClientId, EventLoopOptions, EventLoopStats,
-    RetryPolicy, ServerEventLoop, SplitClient, SplitSpec,
+    drive_client, event_channel_listener, ClientId, EventLoopOptions, EventLoopStats, RetryPolicy,
+    ServerEventLoop, SplitClient, SplitSpec,
 };
 
 /// The acceptance numbers: 4× oversubscription at fleet scale.
@@ -141,7 +141,7 @@ fn run_fleet(
             // `Busy` sheds do not consume the retry budget (they are
             // load, not faults), so a client can wait out arbitrarily
             // long contention on a small budget.
-            let curve = drive_client_resumable(&mut client, || dialer.dial(), STEPS, &policy)
+            let curve = drive_client(&mut client, |_| dialer.dial(), STEPS, &policy)
                 .expect("every client eventually completes under overload");
             (curve_bits(&curve), adapter_bits(&client))
         }));

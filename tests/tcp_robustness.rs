@@ -11,7 +11,10 @@ use menos::core::{MenosServer, ServerMode, ServerSpec};
 use menos::data::{wiki_corpus, TokenDataset, Vocab};
 use menos::models::{CausalLm, ModelConfig};
 use menos::sim::seeded_rng;
-use menos::split::{run_tcp_client, ClientId, ForwardMode, SplitClient, SplitSpec, TcpSplitServer};
+use menos::split::{
+    run_tcp_client, ClientId, EventLoopOptions, ForwardMode, RetryPolicy, SplitClient, SplitSpec,
+    TcpEventServer, TcpOptions,
+};
 
 fn setup() -> (
     String,
@@ -33,7 +36,7 @@ fn spawn_server(
     seed: u64,
     mode: ForwardMode,
     clients: usize,
-) -> (TcpSplitServer, Arc<Mutex<MenosServer>>) {
+) -> TcpEventServer<MenosServer> {
     let view = base.lock().unwrap().shared_view(false);
     let mut srv = MenosServer::from_store(
         config.clone(),
@@ -42,9 +45,18 @@ fn spawn_server(
         seed,
     );
     srv.set_forward_mode(mode);
-    let handler = Arc::new(Mutex::new(srv));
-    let server = TcpSplitServer::spawn("127.0.0.1:0", handler.clone(), clients).expect("bind");
-    (server, handler)
+    let options = EventLoopOptions {
+        accept_limit: clients,
+        ..EventLoopOptions::default()
+    };
+    TcpEventServer::spawn("127.0.0.1:0", srv, options, TcpOptions::default()).expect("bind")
+}
+
+/// Waits for the server to serve its accept budget and returns the
+/// sessions it still holds.
+fn finish(server: TcpEventServer<MenosServer>) -> usize {
+    let (srv, _stats) = server.join().expect("loop finished");
+    srv.active_clients()
 }
 
 fn make_client(
@@ -73,11 +85,11 @@ fn make_client(
 fn garbage_peer_does_not_poison_healthy_clients() {
     let (text, _vocab, config, base) = setup();
     // Serve three connections: one garbage, two healthy.
-    let (server, handler) = spawn_server(&config, &base, 700, ForwardMode::NoGradReforward, 3);
+    let server = spawn_server(&config, &base, 700, ForwardMode::NoGradReforward, 3);
     let addr = server.addr();
 
     // Garbage peer: random bytes (not even a valid frame header), then
-    // abrupt close. Its connection thread must fail in isolation.
+    // abrupt close. Its connection must fail in isolation.
     {
         let mut s = TcpStream::connect(addr).expect("connect");
         s.write_all(&[0xFF; 64]).expect("write garbage");
@@ -92,23 +104,22 @@ fn garbage_peer_does_not_poison_healthy_clients() {
         let base = base.clone();
         handles.push(std::thread::spawn(move || {
             let mut client = make_client(k, &text, &config, &base);
-            run_tcp_client(addr, &mut client, 4).expect("healthy client")
+            run_tcp_client(addr, &mut client, 4, &RetryPolicy::none()).expect("healthy client")
         }));
     }
     for h in handles {
         let curve = h.join().expect("thread");
         assert_eq!(curve.points().len(), 4);
     }
-    server.join();
     // Every session — including any the garbage peer might have opened —
     // is reclaimed.
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
+    assert_eq!(finish(server), 0);
 }
 
 #[test]
 fn mid_session_disconnect_is_contained() {
     let (text, _vocab, config, base) = setup();
-    let (server, handler) = spawn_server(&config, &base, 701, ForwardMode::Cached, 2);
+    let server = spawn_server(&config, &base, 701, ForwardMode::Cached, 2);
     let addr = server.addr();
 
     // First peer: a syntactically plausible-looking stream that is not
@@ -128,16 +139,16 @@ fn mid_session_disconnect_is_contained() {
 
     // The remaining slot still serves a real client.
     let mut client = make_client(1, &text, &config, &base);
-    let curve = run_tcp_client(addr, &mut client, 3).expect("client after bad peer");
+    let curve =
+        run_tcp_client(addr, &mut client, 3, &RetryPolicy::none()).expect("client after bad peer");
     assert_eq!(curve.points().len(), 3);
-    server.join();
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
+    assert_eq!(finish(server), 0);
 }
 
 #[test]
 fn clients_with_different_configs_share_one_server() {
     let (text, _vocab, config, base) = setup();
-    let (server, handler) = spawn_server(&config, &base, 702, ForwardMode::NoGradReforward, 2);
+    let server = spawn_server(&config, &base, 702, ForwardMode::NoGradReforward, 2);
     let addr = server.addr();
 
     let mut handles = Vec::new();
@@ -163,12 +174,12 @@ fn clients_with_different_configs_share_one_server() {
                 ds,
                 k as u64,
             );
-            run_tcp_client(addr, &mut client, 3).expect("heterogeneous client")
+            run_tcp_client(addr, &mut client, 3, &RetryPolicy::none())
+                .expect("heterogeneous client")
         }));
     }
     for h in handles {
         assert_eq!(h.join().expect("thread").points().len(), 3);
     }
-    server.join();
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
+    assert_eq!(finish(server), 0);
 }

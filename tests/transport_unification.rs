@@ -1,23 +1,27 @@
 //! The acceptance harness of the unified transport stack: every
-//! transport moves the same codec bytes through the same state
-//! machine, so (a) training is byte-identical across transports and
-//! (b) injected faults surface as typed [`ProtocolError`]s that
-//! reclaim the failed client's session and leave other clients
-//! training.
+//! transport moves the same codec bytes through the same event loop
+//! and state machine, so (a) training is byte-identical across
+//! transports — and to `run_split_steps`, the in-process oracle — and
+//! (b) injected faults cost only the faulty connection: its session is
+//! reclaimed and other clients keep training.
 
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use menos::adapters::FineTuneConfig;
-use menos::core::{MenosServer, ProtocolError, ServerMode, ServerSpec};
+use menos::core::{MenosServer, ServerMode, ServerSpec};
 use menos::data::{wiki_corpus, LossCurve, TokenDataset, Vocab};
 use menos::models::{CausalLm, ModelConfig};
-use menos::net::WireError;
+use menos::net::WanLink;
 use menos::sim::seeded_rng;
 use menos::split::{
-    channel_pair, drive_client, event_channel_listener, event_sim_listener, serve_loop, sim_pair,
-    ClientId, ClientMessage, EventLoopOptions, EventLoopStats, FaultTransport, ServerEventLoop,
-    ServerMessage, SplitClient, SplitSpec, TcpEventServer, TcpSplitServer, Transport,
+    drive_client, event_channel_listener, event_sim_listener, run_split_steps, run_tcp_client,
+    ChannelDialer, ChannelTransport, ChaosListener, ChaosOptions, ClientId, ClientMessage,
+    EventLoopOptions, EventLoopStats, Fault, ForwardMode, ProtocolError, RetryPolicy,
+    ServerEventLoop, ServerMessage, ServerSession, SimDialer, SplitClient, SplitSpec,
+    TcpEventServer, TcpOptions, Transport,
 };
 
 const SEED: u64 = 4100;
@@ -49,6 +53,13 @@ fn make_server(
     )))
 }
 
+fn fine_tune(config: &ModelConfig) -> FineTuneConfig {
+    let mut ft = FineTuneConfig::paper(config);
+    ft.batch_size = 2;
+    ft.seq_len = 16;
+    ft
+}
+
 fn make_client(
     k: u64,
     text: &str,
@@ -56,16 +67,13 @@ fn make_client(
     base: &Arc<Mutex<menos::tensor::ParamStore>>,
 ) -> SplitClient {
     let vocab = Vocab::from_text(text);
-    let mut ft = FineTuneConfig::paper(config);
-    ft.batch_size = 2;
-    ft.seq_len = 16;
     let ds = TokenDataset::new(vocab.encode(text), 16, k);
     let view = base.lock().unwrap().shared_view(false);
     SplitClient::new(
         ClientId(k),
         CausalLm::bind(config, &view),
         SplitSpec::paper(),
-        ft,
+        fine_tune(config),
         ds,
         k,
     )
@@ -81,177 +89,6 @@ fn connect_msg(client: &SplitClient) -> ClientMessage {
     }
 }
 
-/// One scripted training step's worth of frames for `client`, captured
-/// by running the real client against a scratch server.
-fn train_over_channel(
-    client: &mut SplitClient,
-    handler: Arc<Mutex<MenosServer>>,
-    steps: usize,
-) -> LossCurve {
-    let (mut client_t, mut server_t) = channel_pair();
-    let server = std::thread::spawn(move || {
-        let mut handler = handler;
-        serve_loop(&mut server_t, &mut handler)
-    });
-    let curve = drive_client(client, &mut client_t, steps).expect("channel training");
-    server.join().expect("server thread").expect("clean serve");
-    curve
-}
-
-#[test]
-fn same_messages_give_byte_identical_curves_on_every_transport() {
-    let (text, _vocab, config, base) = setup();
-    const STEPS: usize = 4;
-
-    // In-memory channels.
-    let mut client = make_client(0, &text, &config, &base);
-    let channel_curve = train_over_channel(&mut client, make_server(&config, &base), STEPS);
-
-    // Real TCP sockets.
-    let handler = make_server(&config, &base);
-    let server = TcpSplitServer::spawn("127.0.0.1:0", handler, 1).expect("bind");
-    let mut client = make_client(0, &text, &config, &base);
-    let tcp_curve =
-        menos::split::run_tcp_client(server.addr(), &mut client, STEPS).expect("tcp training");
-    server.join();
-
-    // Simulated WAN (same bytes, plus virtual transfer time).
-    let (mut client_t, mut server_t) =
-        sim_pair(menos::net::WanLink::lan(7), menos::net::WanLink::lan(8));
-    let handler = make_server(&config, &base);
-    let sim_server = std::thread::spawn(move || {
-        let mut handler = handler;
-        serve_loop(&mut server_t, &mut handler)
-    });
-    let mut client = make_client(0, &text, &config, &base);
-    let sim_curve = drive_client(&mut client, &mut client_t, STEPS).expect("sim training");
-    sim_server.join().expect("thread").expect("clean serve");
-    assert!(client_t.elapsed() > menos::sim::Nanos(0));
-
-    // Bit-exact equality: same client, same server seed, same bytes on
-    // the wire → the same floats, regardless of transport.
-    let bits = |curve: &LossCurve| -> Vec<(usize, u32)> {
-        curve
-            .points()
-            .iter()
-            .map(|&(s, l)| (s, l.to_bits()))
-            .collect()
-    };
-    assert_eq!(channel_curve.points().len(), STEPS);
-    assert_eq!(bits(&channel_curve), bits(&tcp_curve));
-    assert_eq!(bits(&channel_curve), bits(&sim_curve));
-}
-
-/// Runs a fault script against a fresh `MenosServer`, returning the
-/// serve-loop error and the handler for post-mortem assertions.
-fn run_script(
-    handler: Arc<Mutex<MenosServer>>,
-    script: impl FnOnce(&mut FaultTransport, &ClientMessage),
-    connect: &ClientMessage,
-) -> ProtocolError {
-    let mut transport = FaultTransport::new();
-    script(&mut transport, connect);
-    let mut h = handler;
-    serve_loop(&mut transport, &mut h).expect_err("script must fail the connection")
-}
-
-#[test]
-fn injected_faults_surface_typed_errors_and_reclaim_sessions() {
-    let (text, _vocab, config, base) = setup();
-    let handler = make_server(&config, &base);
-
-    let victim = make_client(7, &text, &config, &base);
-    let connect = connect_msg(&victim);
-    let activations = ClientMessage::Activations {
-        client: ClientId(7),
-        frame: menos::net::encode_tensor(&menos::tensor::Tensor::zeros([2, 16, 64])),
-    };
-
-    // Truncated frame after a successful connect.
-    let err = run_script(
-        handler.clone(),
-        |t, connect| {
-            t.push_message(connect);
-            t.push_truncated(&activations, 9);
-        },
-        &connect,
-    );
-    assert!(
-        matches!(err, ProtocolError::Wire(WireError::Truncated)),
-        "{err}"
-    );
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
-
-    // Hostile oversize length declaration.
-    let err = run_script(
-        handler.clone(),
-        |t, connect| {
-            t.push_message(connect);
-            t.push_oversize_header(u32::MAX);
-        },
-        &connect,
-    );
-    assert!(
-        matches!(err, ProtocolError::Wire(WireError::TooLarge { .. })),
-        "{err}"
-    );
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
-
-    // Out-of-order message: gradients before any forward.
-    let err = run_script(
-        handler.clone(),
-        |t, connect| {
-            t.push_message(connect);
-            t.push_message(&ClientMessage::Gradients {
-                client: ClientId(7),
-                frame: menos::net::encode_tensor(&menos::tensor::Tensor::zeros([2, 16, 64])),
-            });
-        },
-        &connect,
-    );
-    assert!(matches!(err, ProtocolError::OutOfOrder(_)), "{err}");
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
-
-    // Mid-step disconnect: the script runs dry after one good step's
-    // first message, modelling an abrupt hang-up.
-    let err = run_script(
-        handler.clone(),
-        |t, connect| {
-            t.push_message(connect);
-            t.push_message(&activations);
-        },
-        &connect,
-    );
-    assert!(matches!(err, ProtocolError::Disconnected), "{err}");
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
-
-    // Deadline enforcement: a frame that arrives too late.
-    let err = {
-        let mut transport = FaultTransport::new();
-        transport
-            .set_deadline(Some(Duration::from_millis(100)))
-            .unwrap();
-        transport.push_message(&connect);
-        transport.push_delayed(&activations, Duration::from_secs(120));
-        let mut h = handler.clone();
-        serve_loop(&mut transport, &mut h).expect_err("late frame must fail")
-    };
-    assert!(matches!(err, ProtocolError::Timeout), "{err}");
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
-
-    // Through all that abuse, an unrelated client still trains on the
-    // same server instance.
-    let mut healthy = make_client(1, &text, &config, &base);
-    let curve = train_over_channel(&mut healthy, handler.clone(), 3);
-    assert_eq!(curve.points().len(), 3);
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
-}
-
-// ----------------------------------------------------------------------
-// Event-driven server: batched steps must be bit-identical to the
-// blocking thread-per-client pump, on every transport.
-// ----------------------------------------------------------------------
-
 type CurveBits = Vec<(usize, u32)>;
 
 fn bits(curve: &LossCurve) -> CurveBits {
@@ -262,44 +99,113 @@ fn bits(curve: &LossCurve) -> CurveBits {
         .collect()
 }
 
-/// Trains `n` clients concurrently against one shared server via the
-/// blocking pump (one `serve_loop` thread per client) — the reference
-/// the event loop must reproduce bit-for-bit.
-fn blocking_fleet(
-    n: u64,
+/// Client `k`'s curve from `run_split_steps` against a bare session
+/// seeded exactly as `MenosServer` seeds it — the in-process oracle
+/// every served curve must match bit for bit.
+fn oracle(
+    k: u64,
     steps: usize,
     text: &str,
     config: &ModelConfig,
     base: &Arc<Mutex<menos::tensor::ParamStore>>,
-) -> Vec<CurveBits> {
-    let handler = make_server(config, base);
-    let mut drivers = Vec::new();
-    let mut servers = Vec::new();
-    for k in 0..n {
-        let (mut client_t, mut server_t) = channel_pair();
-        let mut h = handler.clone();
-        servers.push(std::thread::spawn(move || {
-            serve_loop(&mut server_t, &mut h)
-        }));
-        let mut client = make_client(k, text, config, base);
-        drivers.push(std::thread::spawn(move || {
-            bits(&drive_client(&mut client, &mut client_t, steps).expect("blocking fleet"))
-        }));
-    }
-    let curves = drivers
-        .into_iter()
-        .map(|d| d.join().expect("driver thread"))
-        .collect();
-    for s in servers {
-        s.join().expect("server thread").expect("clean serve");
-    }
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
-    curves
+) -> CurveBits {
+    let mut client = make_client(k, text, config, base);
+    let view = base.lock().unwrap().shared_view(false);
+    let mut session = ServerSession::new(
+        ClientId(k),
+        CausalLm::bind(config, &view),
+        SplitSpec::paper(),
+        &fine_tune(config),
+        SEED.wrapping_add(k),
+    );
+    bits(&run_split_steps(
+        &mut client,
+        &mut session,
+        ForwardMode::NoGradReforward,
+        steps,
+    ))
 }
 
-/// Trains `n` clients against one `ServerEventLoop` thread over
-/// in-memory channels, returning per-client curves and loop counters.
+/// The transports an event loop can serve.
+#[derive(Clone, Copy, Debug)]
+enum Wire {
+    Channel,
+    Sim,
+    Tcp,
+}
+
+/// A client's way to reach a running loop.
+#[derive(Clone)]
+enum Dial {
+    Channel(ChannelDialer),
+    Sim(SimDialer),
+    Tcp(SocketAddr),
+}
+
+impl Dial {
+    /// Trains `steps` steps over a fresh connection, no retries.
+    fn train(&self, client: &mut SplitClient, steps: usize) -> CurveBits {
+        let none = RetryPolicy::none();
+        let k = client.id().0;
+        let curve = match self {
+            Dial::Channel(d) => drive_client(client, |_| d.dial(), steps, &none),
+            // Heterogeneous per-client links: same bytes, different
+            // virtual transfer times.
+            Dial::Sim(d) => drive_client(
+                client,
+                |_| d.dial(WanLink::lan(7 + k), WanLink::lan(100 + k)),
+                steps,
+                &none,
+            ),
+            Dial::Tcp(addr) => run_tcp_client(*addr, client, steps, &none),
+        };
+        bits(&curve.expect("event-loop training"))
+    }
+}
+
+type LoopThread = JoinHandle<(Arc<Mutex<MenosServer>>, EventLoopStats)>;
+
+/// Starts an event loop over `handler` on `wire`, accepting `accept`
+/// connections.
+fn serve(wire: Wire, handler: &Arc<Mutex<MenosServer>>, accept: usize) -> (Dial, LoopThread) {
+    let options = EventLoopOptions {
+        accept_limit: accept,
+        ..EventLoopOptions::default()
+    };
+    let handler = handler.clone();
+    match wire {
+        Wire::Channel => {
+            let (dialer, listener) = event_channel_listener();
+            let event_loop = ServerEventLoop::new(listener, handler, options);
+            (
+                Dial::Channel(dialer),
+                std::thread::spawn(move || event_loop.run()),
+            )
+        }
+        Wire::Sim => {
+            let (dialer, listener) = event_sim_listener();
+            let event_loop = ServerEventLoop::new(listener, handler, options);
+            (
+                Dial::Sim(dialer),
+                std::thread::spawn(move || event_loop.run()),
+            )
+        }
+        Wire::Tcp => {
+            let server =
+                TcpEventServer::spawn("127.0.0.1:0", handler, options, TcpOptions::default())
+                    .expect("bind");
+            (
+                Dial::Tcp(server.addr()),
+                std::thread::spawn(move || server.join().expect("loop finished")),
+            )
+        }
+    }
+}
+
+/// Trains clients `0..n` concurrently against one fresh server on
+/// `wire`, returning per-client curves and the loop's counters.
 fn event_loop_fleet(
+    wire: Wire,
     n: u64,
     steps: usize,
     text: &str,
@@ -307,26 +213,15 @@ fn event_loop_fleet(
     base: &Arc<Mutex<menos::tensor::ParamStore>>,
 ) -> (Vec<CurveBits>, EventLoopStats) {
     let handler = make_server(config, base);
-    let (dialer, listener) = event_channel_listener();
-    let event_loop = ServerEventLoop::new(
-        listener,
-        handler.clone(),
-        EventLoopOptions {
-            accept_limit: n as usize,
-            ..EventLoopOptions::default()
-        },
-    );
-    let loop_thread = std::thread::spawn(move || event_loop.run());
-    let mut drivers = Vec::new();
-    for k in 0..n {
-        let mut client = make_client(k, text, config, base);
-        let dialer = dialer.clone();
-        drivers.push(std::thread::spawn(move || {
-            let mut transport = dialer.dial().expect("dial");
-            bits(&drive_client(&mut client, &mut transport, steps).expect("event-loop fleet"))
-        }));
-    }
-    let curves: Vec<CurveBits> = drivers
+    let (dial, loop_thread) = serve(wire, &handler, n as usize);
+    let drivers: Vec<_> = (0..n)
+        .map(|k| {
+            let mut client = make_client(k, text, config, base);
+            let dial = dial.clone();
+            std::thread::spawn(move || dial.train(&mut client, steps))
+        })
+        .collect();
+    let curves = drivers
         .into_iter()
         .map(|d| d.join().expect("driver thread"))
         .collect();
@@ -336,86 +231,164 @@ fn event_loop_fleet(
 }
 
 #[test]
-fn event_loop_curves_are_bit_identical_to_blocking_on_all_transports() {
+fn same_messages_give_byte_identical_curves_on_every_transport() {
+    let (text, _vocab, config, base) = setup();
+    const STEPS: usize = 4;
+    // Same client, same server seed, same bytes on the wire → the same
+    // floats as the in-process oracle, whatever carries the bytes.
+    let want = vec![oracle(0, STEPS, &text, &config, &base)];
+    assert_eq!(want[0].len(), STEPS);
+    for wire in [Wire::Channel, Wire::Tcp, Wire::Sim] {
+        let (curves, _) = event_loop_fleet(wire, 1, STEPS, &text, &config, &base);
+        assert_eq!(curves, want, "{wire:?} diverged from run_split_steps");
+    }
+}
+
+#[test]
+fn event_loop_curves_are_bit_identical_to_run_split_steps_on_all_transports() {
     let (text, _vocab, config, base) = setup();
     const N: u64 = 4;
     const STEPS: usize = 3;
 
-    let reference = blocking_fleet(N, STEPS, &text, &config, &base);
-    for curve in &reference {
-        assert_eq!(curve.len(), STEPS);
+    let reference: Vec<CurveBits> = (0..N)
+        .map(|k| oracle(k, STEPS, &text, &config, &base))
+        .collect();
+    for wire in [Wire::Channel, Wire::Sim, Wire::Tcp] {
+        let (curves, stats) = event_loop_fleet(wire, N, STEPS, &text, &config, &base);
+        assert_eq!(curves, reference, "{wire:?} event loop diverged");
+        assert_eq!(stats.accepted, N);
+        assert_eq!(stats.served, N);
+        assert_eq!(stats.conn_errors, 0);
+        assert_eq!(stats.batched_messages, N * STEPS as u64 * 2);
     }
+}
 
-    // Channel transport through the event loop.
-    let (channel_curves, stats) = event_loop_fleet(N, STEPS, &text, &config, &base);
-    assert_eq!(channel_curves, reference, "channel event loop diverged");
-    assert_eq!(stats.accepted, N);
-    assert_eq!(stats.served, N);
-    assert_eq!(stats.conn_errors, 0);
-    assert_eq!(stats.batched_messages, N * STEPS as u64 * 2);
-
-    // Simulated WAN through the event loop (same bytes, plus virtual
-    // transfer time on heterogeneous per-client links).
-    let handler = make_server(&config, &base);
-    let (dialer, listener) = event_sim_listener();
+/// Serves one connection on a fresh event loop over `handler`, with
+/// `fault` dealt to it by the chaos injector (`None` runs it clean),
+/// while `script` plays the client. Returns the loop's counters.
+fn serve_one_scripted(
+    handler: &Arc<Mutex<MenosServer>>,
+    fault: Option<Fault>,
+    script: impl FnOnce(ChannelTransport<ClientMessage, ServerMessage>),
+) -> EventLoopStats {
+    let (dialer, listener) = event_channel_listener();
+    let listener = match fault {
+        Some(fault) => ChaosListener::with_forced_fault(listener, ChaosOptions::default(), fault),
+        None => ChaosListener::new(
+            listener,
+            ChaosOptions {
+                max_faulted_incarnations: 0,
+                ..ChaosOptions::default()
+            },
+        ),
+    };
     let event_loop = ServerEventLoop::new(
         listener,
         handler.clone(),
         EventLoopOptions {
-            accept_limit: N as usize,
+            accept_limit: 1,
             ..EventLoopOptions::default()
         },
     );
     let loop_thread = std::thread::spawn(move || event_loop.run());
-    let mut drivers = Vec::new();
-    for k in 0..N {
-        let mut client = make_client(k, &text, &config, &base);
-        let dialer = dialer.clone();
-        drivers.push(std::thread::spawn(move || {
-            let mut transport = dialer
-                .dial(
-                    menos::net::WanLink::lan(7 + k),
-                    menos::net::WanLink::lan(100 + k),
-                )
-                .expect("sim dial");
-            bits(&drive_client(&mut client, &mut transport, STEPS).expect("sim event loop"))
-        }));
-    }
-    let sim_curves: Vec<CurveBits> = drivers
-        .into_iter()
-        .map(|d| d.join().expect("driver thread"))
-        .collect();
-    loop_thread.join().expect("loop thread");
-    assert_eq!(sim_curves, reference, "sim event loop diverged");
+    script(dialer.dial().expect("dial"));
+    loop_thread.join().expect("loop thread").1
+}
 
-    // Real TCP sockets through the event loop (nonblocking reads,
-    // partial-frame reassembly, write queues).
+/// Sends `Connect` and expects `Ready`.
+fn handshake(t: &mut ChannelTransport<ClientMessage, ServerMessage>, client: &SplitClient) {
+    t.send(&connect_msg(client)).expect("connect");
+    assert!(matches!(t.recv(), Ok(ServerMessage::Ready { .. })));
+}
+
+fn zeros_frame() -> bytes::Bytes {
+    menos::net::encode_tensor(&menos::tensor::Tensor::zeros([2, 16, 64]))
+}
+
+#[test]
+fn injected_faults_surface_typed_errors_and_reclaim_sessions() {
+    let (text, _vocab, config, base) = setup();
     let handler = make_server(&config, &base);
-    let server = TcpEventServer::spawn(
-        "127.0.0.1:0",
-        handler.clone(),
-        EventLoopOptions {
-            accept_limit: N as usize,
-            ..EventLoopOptions::default()
-        },
-        menos::split::TcpOptions::default(),
-    )
-    .expect("bind");
-    let addr = server.addr();
-    let mut drivers = Vec::new();
-    for k in 0..N {
-        let mut client = make_client(k, &text, &config, &base);
-        drivers.push(std::thread::spawn(move || {
-            bits(&menos::split::run_tcp_client(addr, &mut client, STEPS).expect("tcp event loop"))
-        }));
+    let victim = make_client(7, &text, &config, &base);
+    let activations = ClientMessage::Activations {
+        client: ClientId(7),
+        frame: zeros_frame(),
+    };
+    let dropped = |t: &mut ChannelTransport<ClientMessage, ServerMessage>| {
+        let err = t.recv().expect_err("the server must drop the connection");
+        assert!(matches!(err, ProtocolError::Disconnected), "{err}");
+    };
+
+    // A corrupt tensor frame after a successful connect: decoding
+    // fails, the connection is dropped, nothing is trained on.
+    let stats = serve_one_scripted(&handler, Some(Fault::CorruptBody(1)), |mut t| {
+        handshake(&mut t, &victim);
+        t.send(&activations).expect("activations");
+        dropped(&mut t);
+    });
+    assert_eq!((stats.conn_errors, stats.served), (1, 0));
+    assert_eq!(handler.lock().unwrap().active_clients(), 0);
+
+    // Out-of-order message: gradients before any forward.
+    let stats = serve_one_scripted(&handler, None, |mut t| {
+        handshake(&mut t, &victim);
+        t.send(&ClientMessage::Gradients {
+            client: ClientId(7),
+            frame: zeros_frame(),
+        })
+        .expect("gradients");
+        dropped(&mut t);
+    });
+    assert_eq!((stats.conn_errors, stats.served), (1, 0));
+    assert_eq!(handler.lock().unwrap().active_clients(), 0);
+
+    // Mid-step hang-up: the read path dies right after the step's
+    // first message, which is purged undispatched.
+    let stats = serve_one_scripted(&handler, Some(Fault::KillRecvAfter(1)), |mut t| {
+        handshake(&mut t, &victim);
+        t.send(&activations).expect("activations");
+        dropped(&mut t);
+    });
+    assert_eq!((stats.conn_errors, stats.batches), (1, 0));
+    assert_eq!(handler.lock().unwrap().active_clients(), 0);
+
+    // Hostile oversize length declaration on a real socket: rejected
+    // from the header alone, connection closed, session reclaimed.
+    {
+        use std::io::{Read, Write};
+        let server = TcpEventServer::spawn(
+            "127.0.0.1:0",
+            handler.clone(),
+            EventLoopOptions {
+                accept_limit: 1,
+                ..EventLoopOptions::default()
+            },
+            TcpOptions::default(),
+        )
+        .expect("bind");
+        let mut socket = std::net::TcpStream::connect(server.addr()).expect("connect");
+        let connect = menos::split::encode_client_message(&connect_msg(&victim));
+        socket.write_all(&connect).expect("connect frame");
+        socket
+            .write_all(&menos::net::encode_frame_header(2, 0, u32::MAX))
+            .expect("hostile header");
+        let mut replies = Vec::new();
+        socket.read_to_end(&mut replies).expect("read until close");
+        let (_h, stats) = server.join().expect("loop finished");
+        assert_eq!(stats.conn_errors, 1);
+        assert_eq!(handler.lock().unwrap().active_clients(), 0);
     }
-    let tcp_curves: Vec<CurveBits> = drivers
-        .into_iter()
-        .map(|d| d.join().expect("driver thread"))
-        .collect();
-    let (_h, tcp_stats) = server.join().expect("loop finished");
-    assert_eq!(tcp_curves, reference, "tcp event loop diverged");
-    assert_eq!(tcp_stats.served, N);
+
+    // Through all that abuse, an unrelated client still trains on the
+    // same server instance — bit-identically to the oracle.
+    let (dial, loop_thread) = serve(Wire::Channel, &handler, 1);
+    let mut healthy = make_client(1, &text, &config, &base);
+    assert_eq!(
+        dial.train(&mut healthy, 3),
+        oracle(1, 3, &text, &config, &base)
+    );
+    loop_thread.join().expect("loop thread");
+    assert_eq!(handler.lock().unwrap().active_clients(), 0);
 }
 
 /// The deterministic core of the bit-identity claim, with no thread
@@ -539,7 +512,7 @@ fn one_event_loop_thread_drives_32_concurrent_clients() {
     const N: u64 = 32;
     const STEPS: usize = 2;
 
-    let (curves, stats) = event_loop_fleet(N, STEPS, &text, &config, &base);
+    let (curves, stats) = event_loop_fleet(Wire::Channel, N, STEPS, &text, &config, &base);
     assert_eq!(curves.len(), N as usize);
     for curve in &curves {
         assert_eq!(curve.len(), STEPS, "every client finishes training");
@@ -728,34 +701,32 @@ fn per_client_reservation(total: u64, n: u64) -> u64 {
 fn faulty_client_does_not_stop_a_concurrent_one() {
     let (text, _vocab, config, base) = setup();
     let handler = make_server(&config, &base);
+    let (dial, loop_thread) = serve(Wire::Channel, &handler, 2);
+    let Dial::Channel(dialer) = dial.clone() else {
+        unreachable!("a channel loop hands out channel dialers")
+    };
 
-    // Healthy client trains over channels on one thread...
-    let (mut client_t, mut server_t) = channel_pair();
-    let healthy_handler = handler.clone();
-    let healthy_server = std::thread::spawn(move || {
-        let mut h = healthy_handler;
-        serve_loop(&mut server_t, &mut h)
-    });
+    // Healthy client trains on its own thread...
     let mut healthy = make_client(2, &text, &config, &base);
+    let healthy_thread = std::thread::spawn(move || dial.train(&mut healthy, 3));
 
-    // ...while a faulty one connects and breaks mid-step on this one.
+    // ...while a faulty one connects and breaks mid-step on this one:
+    // its activations carry a truncated tensor body.
     let faulty = make_client(3, &text, &config, &base);
-    let mut fault_t = FaultTransport::new();
-    fault_t.push_message(&connect_msg(&faulty));
-    fault_t.push_truncated(
-        &ClientMessage::Activations {
-            client: ClientId(3),
-            frame: menos::net::encode_tensor(&menos::tensor::Tensor::zeros([2, 16, 64])),
-        },
-        20,
-    );
-    let mut fault_handler = handler.clone();
-    let fault_err = serve_loop(&mut fault_t, &mut fault_handler).expect_err("fault");
-    assert!(matches!(fault_err, ProtocolError::Wire(_)), "{fault_err}");
+    let mut t = dialer.dial().expect("dial");
+    handshake(&mut t, &faulty);
+    t.send(&ClientMessage::Activations {
+        client: ClientId(3),
+        frame: zeros_frame().slice(..20),
+    })
+    .expect("truncated activations");
+    let err = t.recv().expect_err("the faulty connection is dropped");
+    assert!(matches!(err, ProtocolError::Disconnected), "{err}");
 
-    let curve = drive_client(&mut healthy, &mut client_t, 3).expect("healthy client");
-    healthy_server.join().expect("thread").expect("clean serve");
-    assert_eq!(curve.points().len(), 3);
+    let curve = healthy_thread.join().expect("healthy thread");
+    assert_eq!(curve, oracle(2, 3, &text, &config, &base));
+    let (_h, stats) = loop_thread.join().expect("loop thread");
+    assert_eq!((stats.served, stats.conn_errors), (1, 1));
     // The faulty session is reclaimed; the healthy one disconnected
     // cleanly — nothing leaks.
     assert_eq!(handler.lock().unwrap().active_clients(), 0);
