@@ -795,11 +795,12 @@ fn run_fleet_table(lines: &mut Vec<String>) {
 /// machine-independent.
 fn run_check() -> ! {
     const CHECK_N: u64 = 32;
-    // N=32 is stacking's worst memory point: one near-full stacked
-    // group pays concat/scatter copies that solo replay never builds.
-    // The limits guard against regression from that level — the
-    // uncapped stacked path measured >2.5x memory at a 0.58x slowdown
-    // — not an aspirational ratio.
+    // N=32 fills full stacked groups: one fused backward holds every
+    // member's re-forward graph, which solo replay builds one at a
+    // time. The limits guard against regression from that level —
+    // before band-sized narrow gradients and the 16-member cap,
+    // stacking measured 2.5–3.7x solo's memory here — not an
+    // aspirational ratio.
     const HWM_RATIO_LIMIT: f64 = 2.0;
     const RATE_RATIO_FLOOR: f64 = 0.8;
     // Compression guard: f16 must keep its promised wire saving over

@@ -2,13 +2,35 @@
 
 use std::collections::{HashMap, HashSet};
 
+use crate::op::Op;
+use crate::ops::shape_ops::{narrow_backward_accumulate, narrow_backward_kernel};
 use crate::tensor::Tensor;
+
+/// One buffered gradient contribution to a tensor.
+enum Contribution {
+    /// Shaped like the receiving tensor.
+    Dense(Vec<f32>),
+    /// A `narrow(dim, start, len)` output's gradient, kept at the
+    /// narrowed size and scattered into the receiving tensor only when
+    /// contributions are summed. A tensor split into `k` bands (a
+    /// stacked multi-client batch) then buffers one tensor's worth of
+    /// band gradients instead of `k` full-size zero-padded copies.
+    Band {
+        data: Vec<f32>,
+        dim: usize,
+        start: usize,
+        len: usize,
+    },
+}
 
 /// Gradients produced by [`Tensor::backward`], keyed by tensor
 /// identity.
 ///
-/// Only tensors with `requires_grad` receive entries. Gradients are
-/// plain (untracked) tensors; double backward is not supported.
+/// Only leaf tensors with `requires_grad` (parameters and
+/// gradient-ready inputs, i.e. tensors no recorded op produced)
+/// receive entries; interior gradients are released as soon as they
+/// have been propagated. Gradients are plain (untracked) tensors;
+/// double backward is not supported.
 ///
 /// # Examples
 ///
@@ -168,37 +190,69 @@ impl Tensor {
         // is a structural property of the op that built each consumer,
         // identical in both graphs, which makes gradients bitwise
         // reproducible across graph embeddings.
-        let mut pending: HashMap<u64, Vec<(u64, Vec<f32>)>> = HashMap::new();
+        let mut pending: HashMap<u64, Vec<(u64, Contribution)>> = HashMap::new();
         // Seed sorts first: no real consumer can have id 0 here because
         // the root itself was created after id 0.
-        pending.insert(self.id(), vec![(0, grad.to_vec())]);
+        pending.insert(self.id(), vec![(0, Contribution::Dense(grad.to_vec()))]);
 
         for t in topo.iter().rev() {
             let Some(mut contribs) = pending.remove(&t.id()) else {
                 continue;
             };
             contribs.sort_by_key(|(consumer, _)| *consumer);
-            let mut it = contribs.into_iter();
-            let (_, mut acc) = it.next().expect("non-empty contribution list");
-            for (_, data) in it {
-                debug_assert_eq!(acc.len(), data.len(), "gradient shape changed");
-                for (e, d) in acc.iter_mut().zip(data.iter()) {
-                    *e += d;
+            let mut it = contribs.into_iter().map(|(_, c)| c);
+            let mut acc = match it.next().expect("non-empty contribution list") {
+                Contribution::Dense(data) => data,
+                Contribution::Band {
+                    data,
+                    dim,
+                    start,
+                    len,
+                } => narrow_backward_kernel(&data, t.shape(), dim, start, len),
+            };
+            for c in it {
+                match c {
+                    Contribution::Dense(data) => {
+                        debug_assert_eq!(acc.len(), data.len(), "gradient shape changed");
+                        for (e, d) in acc.iter_mut().zip(data.iter()) {
+                            *e += d;
+                        }
+                    }
+                    Contribution::Band {
+                        data,
+                        dim,
+                        start,
+                        len,
+                    } => narrow_backward_accumulate(&mut acc, &data, t.shape(), dim, start, len),
                 }
             }
-            if let Some(op) = t.op() {
+            let Some(op) = t.op() else {
+                store.insert_raw(t.id(), Tensor::from_vec(acc, t.shape().clone()));
+                continue;
+            };
+            // Interior gradients are spent once propagated; only leaves
+            // (parameters, gradient-ready inputs) reach the store.
+            if let Op::Narrow(a, dim, start, len) = op {
+                if a.requires_grad() {
+                    let band = Contribution::Band {
+                        data: acc,
+                        dim: *dim,
+                        start: *start,
+                        len: *len,
+                    };
+                    pending.entry(a.id()).or_default().push((t.id(), band));
+                }
+            } else {
                 for (parent, pgrad) in op.backward(t, &acc) {
                     if parent.requires_grad() {
                         pending
                             .entry(parent.id())
                             .or_default()
-                            .push((t.id(), pgrad));
+                            .push((t.id(), Contribution::Dense(pgrad)));
                     }
                 }
+                crate::pool::recycle_f32(acc);
             }
-            // Interior gradients could be dropped here to save memory;
-            // they are kept because tests inspect them.
-            store.insert_raw(t.id(), Tensor::from_vec(acc, t.shape().clone()));
         }
         store
     }
@@ -553,5 +607,33 @@ mod tests {
         let g = grads.remove(&x).unwrap();
         assert_eq!(g.to_vec(), vec![2.0]);
         assert!(grads.get(&x).is_none());
+    }
+
+    #[test]
+    fn only_leaf_gradients_are_kept() {
+        let x = Tensor::var_from_vec(vec![1.0, 2.0], [2]);
+        let sq = &x * &x;
+        let grads = sq.sum_all().backward();
+        assert_eq!(grads.len(), 1);
+        assert!(grads.get(&sq).is_none());
+        assert_eq!(grads.get(&x).unwrap().to_vec(), vec![2.0, 4.0]);
+    }
+
+    #[test]
+    fn grad_through_overlapping_narrow_bands() {
+        // Band gradients (first, middle and later contributions) mixed
+        // with a dense one on the same tensor.
+        check_grad(
+            vec![0.5, -1.0, 2.0, 1.5, -0.5, 0.25],
+            &[3, 2],
+            |x| {
+                let a = x.narrow(0, 0, 2);
+                let b = x.narrow(0, 1, 2);
+                let c = x.narrow(1, 1, 1);
+                let bands = &(&(&a * &a).sum_all() + &b.sum_all()) + &(&c * &c).sum_all();
+                &bands + &(x * x).sum_all()
+            },
+            1e-2,
+        );
     }
 }

@@ -8,7 +8,7 @@ use crate::ops::nn::{
     cross_entropy_backward, embedding_backward, layer_norm_backward, rms_norm_backward,
     rope_backward, softmax_backward,
 };
-use crate::ops::shape_ops::{inverse_perm, narrow_backward_kernel, permute_kernel};
+use crate::ops::shape_ops::{inverse_perm, permute_kernel};
 use crate::ops::unary::{gelu_exact_prime, gelu_prime, sigmoid, silu_prime};
 use crate::tensor::Tensor;
 
@@ -215,9 +215,8 @@ impl Op {
                 let (g, _) = permute_kernel(grad, out.shape(), &inv);
                 vec![(a.clone(), g)]
             }
-            Op::Narrow(a, dim, start, len) => {
-                let g = narrow_backward_kernel(grad, a.shape(), *dim, *start, *len);
-                vec![(a.clone(), g)]
+            Op::Narrow(..) => {
+                unreachable!("the autograd engine scatters narrow gradients itself")
             }
             Op::Concat(ts, dim) => {
                 let dim = *dim;

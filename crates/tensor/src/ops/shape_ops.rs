@@ -73,6 +73,40 @@ pub(crate) fn narrow_backward_kernel(
     out
 }
 
+/// Adds the scatter of `grad` (shaped like the narrow output) into
+/// `acc` (shaped like the narrow input) without materializing it:
+/// bitwise the same as adding [`narrow_backward_kernel`]'s output,
+/// including the `+ 0.0` outside the band (which turns `-0.0` into
+/// `0.0`).
+pub(crate) fn narrow_backward_accumulate(
+    acc: &mut [f32],
+    grad: &[f32],
+    in_shape: &Shape,
+    dim: usize,
+    start: usize,
+    len: usize,
+) {
+    debug_assert_eq!(acc.len(), in_shape.elem_count(), "gradient shape changed");
+    let inner: usize = in_shape.dims()[dim + 1..].iter().product();
+    let block = in_shape.dim(dim) * inner;
+    if block == 0 {
+        return;
+    }
+    let (lo, hi) = (start * inner, (start + len) * inner);
+    for (o, row) in acc.chunks_exact_mut(block).enumerate() {
+        let g = &grad[o * (hi - lo)..(o + 1) * (hi - lo)];
+        for e in &mut row[..lo] {
+            *e += 0.0;
+        }
+        for (e, d) in row[lo..hi].iter_mut().zip(g) {
+            *e += d;
+        }
+        for e in &mut row[hi..] {
+            *e += 0.0;
+        }
+    }
+}
+
 impl Tensor {
     /// Reinterprets the data with a new shape of the same element
     /// count. Free at the data level (the buffer is copied only because
@@ -324,6 +358,24 @@ mod tests {
         let grad = vec![1.0, 2.0]; // narrow(1, 1, 1) output grad
         let full = narrow_backward_kernel(&grad, &shape, 1, 1, 1);
         assert_eq!(full, vec![0.0, 1.0, 0.0, 0.0, 2.0, 0.0]);
+    }
+
+    #[test]
+    fn narrow_accumulate_matches_dense_scatter_bitwise() {
+        let shape = Shape::new(vec![2, 3, 2]);
+        let grad = vec![1.5, -0.0, 2.0, 0.25, -3.0, 0.0, 4.0, -1.0];
+        let mut dense = vec![-0.0, 1.0, f32::MIN_POSITIVE, -2.0, 0.5, -0.0];
+        dense.extend_from_slice(&[3.0, -0.0, 7.0, -0.0, 0.0, 1e-30]);
+        let mut sparse = dense.clone();
+        for (e, d) in dense
+            .iter_mut()
+            .zip(narrow_backward_kernel(&grad, &shape, 1, 1, 2))
+        {
+            *e += d;
+        }
+        narrow_backward_accumulate(&mut sparse, &grad, &shape, 1, 1, 2);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sparse), bits(&dense));
     }
 
     #[test]

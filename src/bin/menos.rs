@@ -36,7 +36,7 @@ usage:
                [--micro-model] [--cached] [--threads T]
   menos client --addr HOST:PORT [--steps N] [--seed S] [--model-seed S]
                [--retries R] [--backoff-ms MS] [--codec C] [--micro-model]
-               [--fleet] [--threads T]
+               [--threads T]
   menos fleet  [--port P] [--servers N] [--policy round-robin|memory-aware]
                [--heartbeat-ms MS] [--max-missed N] [--capacity N]
                [--model-seed S] [--snapshot-root DIR] [--duration-secs T]
@@ -49,7 +49,8 @@ options:
                     budget, not a concurrency cap — that is --capacity
   --capacity N      live-session admission cap: a Connect/Resume past it is
                     shed with a Busy retry hint instead of queued (default:
-                    unlimited; PROTOCOL.md §8)
+                    unlimited; PROTOCOL.md §8). A shed client keeps waiting
+                    out the hint and redialing for as long as it takes
   --retry-after-ms MS
                     the reconnect hint carried by capacity sheds (default 100)
   --max-write-buffer BYTES
@@ -60,8 +61,8 @@ options:
                     GPU-pool utilization percentage past which the server
                     degrades: stacked batches shrink and accepts are deferred
                     until the pool drains (default 100 = never)
-  --batch-window W  max ready clients fused into one stacked server step
-                    (default 32)
+  --batch-window W  dispatch once W tensor messages are staged (default 32);
+                    one fused server step carries at most 16 of them
   --model-seed S    base-model derivation seed shared by both sides (default 21)
   --client-timeout MS
                     evict a connection silent for MS milliseconds; its session
@@ -88,17 +89,17 @@ options:
   --steps N         fine-tuning iterations to run (default 10)
   --seed S          client data/adapter seed (default 0)
   --retries R       reconnect-and-resume up to R times per fault (default 0:
-                    fail on the first fault)
+                    fail on the first fault). Busy sheds and fleet Redirects
+                    are not faults: the client waits out the hint and redials
+                    without spending a retry, for as long as it takes. Against
+                    a fleet coordinator (PROTOCOL.md §9) pass R >= 1, so a
+                    backend death walks the client back for re-placement
   --codec C         advertise a tensor codec for the cut tensors
                     (f32-raw | f16 | bf16 | topk8, PROTOCOL.md §7;
                     default f32-raw — the server picks from what is
                     advertised, so raw peers interoperate unchanged)
   --backoff-ms MS   base reconnect backoff, doubled per consecutive failure
                     with +/-50% jitter (default 50)
-  --fleet           --addr is a fleet coordinator (PROTOCOL.md §9): retry
-                    at least once per fault, so a backend death walks the
-                    client back for re-placement (every client chases a
-                    Redirect; this only raises --retries to at least 1)
   --servers N       fleet: backend server processes to spawn (default 2)
   --policy P        fleet: session placement — round-robin | memory-aware
                     (default round-robin)
@@ -343,12 +344,10 @@ fn run_client(args: &[String]) {
     }
 
     println!("connecting to {addr} for {steps} split fine-tuning steps ({codec} advertised)...");
-    // A fleet coordinator answers Connect with a Redirect, which every
-    // client chases for free; `--fleet` additionally guarantees a retry,
-    // so a backend death mid-run walks the client back for re-placement.
-    let fleet = args.iter().any(|a| a == "--fleet");
+    // A fleet coordinator answers Connect with a Redirect, which the
+    // driver chases without spending a retry.
     let policy = RetryPolicy {
-        retries: if fleet { retries.max(1) } else { retries },
+        retries,
         backoff: Duration::from_millis(backoff_ms),
         seed,
         ..RetryPolicy::default()
@@ -500,7 +499,7 @@ fn run_fleet(args: &[String]) {
          ({policy:?}, heartbeat {heartbeat_ms}ms x{max_missed}, capacity {capacity}/server)",
         coordinator.addr(),
     );
-    println!("clients connect with: menos client --fleet --addr HOST:{port} --retries 3 ...");
+    println!("clients connect with: menos client --addr HOST:{port} --retries 3 ...");
 
     match duration {
         Some(d) => std::thread::sleep(d),
